@@ -119,7 +119,7 @@ impl ProtectedApp {
     ///
     /// # Errors
     ///
-    /// See [`elide_core::restore::elide_restore`].
+    /// See [`LaunchedApp::restore`].
     pub fn restore(&mut self) -> Result<u64, ElideError> {
         let idx = self.indices["elide_restore"];
         Ok(self.app.restore(idx)?.instructions)

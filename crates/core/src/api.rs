@@ -1,14 +1,20 @@
 //! High-level orchestration: protect an enclave image, stand up the
 //! authentication server, and launch the protected enclave — the developer
 //! workflow of Figure 1 in a few calls.
+//!
+//! [`LaunchedApp`] is the only host-side way to restore: every launch (and
+//! [`LaunchedApp::attach`], for a runtime loaded by hand) installs the
+//! SgxElide ocalls, and [`LaunchedApp::restore`],
+//! [`LaunchedApp::restore_with_retry`] and
+//! [`LaunchedApp::restore_delegated`] all run the one restore path in
+//! [`crate::restore`].
 
 use crate::error::ElideError;
 use crate::meta::SecretMeta;
 use crate::protocol::Transport;
 use crate::restore::{
-    elide_restore_diag, elide_restore_targeted_diag, elide_restore_with_retry_diag,
-    install_elide_ocalls_routed, DelegationSwitch, ElideFiles, ErrorSink, RestoreRoute,
-    RestoreStats, RetryPolicy, SealedStore,
+    self, DelegationSwitch, ElideFiles, ErrorSink, RestoreRoute, RestoreStats, RetryPolicy,
+    SealedStore,
 };
 use crate::sanitizer::{sanitize, sanitize_blacklist, DataPlacement, SanitizedEnclave};
 use crate::server::{AuthServer, ExpectedIdentity};
@@ -203,14 +209,8 @@ impl ProtectedPackage {
         seed: u64,
     ) -> Result<LaunchedApp, ElideError> {
         let loaded = plan.load(&platform.cpu, &self.sigstruct)?;
-        let mut runtime = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed)));
-        let (errors, delegation) = install_elide_ocalls_routed(
-            &mut runtime,
-            route,
-            Arc::clone(&platform.qe),
-            self.files(sealed),
-        );
-        Ok(LaunchedApp { runtime, errors, delegation })
+        let runtime = EnclaveRuntime::with_rng(loaded, Box::new(SeededRandom::new(seed)));
+        Ok(LaunchedApp::attach(runtime, route, Arc::clone(&platform.qe), self.files(sealed)))
     }
 
     /// Warm start: relaunches a previously provisioned enclave from its
@@ -247,34 +247,57 @@ pub struct LaunchedApp {
     /// The underlying enclave runtime; use it for application ecalls.
     pub runtime: EnclaveRuntime,
     /// Records the underlying host-side error behind a failed restore.
-    pub errors: ErrorSink,
+    errors: ErrorSink,
     /// Arms delegate routing for the duration of a delegated restore.
-    pub(crate) delegation: DelegationSwitch,
+    delegation: DelegationSwitch,
 }
 
 impl LaunchedApp {
+    /// Wires the SgxElide ocalls into a runtime the caller loaded itself
+    /// (e.g. a CLI host with its own RNG): server requests follow `route`,
+    /// handshakes are quoted by `qe`, and `files` backs the file ocalls.
+    pub fn attach(
+        mut runtime: EnclaveRuntime,
+        route: RestoreRoute,
+        qe: Arc<QuotingEnclave>,
+        files: ElideFiles,
+    ) -> LaunchedApp {
+        let (errors, delegation) = restore::install_ocalls(&mut runtime, route, qe, files);
+        LaunchedApp { runtime, errors, delegation }
+    }
+
     /// Restores the enclave's secret code (the one developer-visible call).
     ///
     /// # Errors
     ///
-    /// See [`elide_restore_diag`] — failures report the underlying
-    /// host-side cause when one was recorded, else the guest status.
+    /// The underlying host-side cause when the ocalls recorded one (a
+    /// [`ElideError::Transport`] or [`ElideError::Server`] error), else
+    /// [`ElideError::RestoreFailed`] with the guest status, or
+    /// [`ElideError::Enclave`] when the ecall faulted.
     pub fn restore(&mut self, restore_ecall_index: u64) -> Result<RestoreStats, ElideError> {
-        elide_restore_diag(&mut self.runtime, restore_ecall_index, &self.errors)
+        self.restore_with_retry(restore_ecall_index, &RetryPolicy::none())
     }
 
     /// [`Self::restore`] with client-side retries and exponential backoff
-    /// for transient server failures.
+    /// for transient failures ([`restore::is_transient`]); authentication
+    /// rejections fail on the first attempt.
     ///
     /// # Errors
     ///
-    /// See [`elide_restore_with_retry_diag`].
+    /// The last attempt's error, as for [`Self::restore`].
     pub fn restore_with_retry(
         &mut self,
         restore_ecall_index: u64,
         policy: &RetryPolicy,
     ) -> Result<RestoreStats, ElideError> {
-        elide_restore_with_retry_diag(&mut self.runtime, restore_ecall_index, policy, &self.errors)
+        restore::restore(
+            &mut self.runtime,
+            restore_ecall_index,
+            None,
+            policy,
+            &self.errors,
+            &self.delegation,
+        )
     }
 
     /// Restores through a local delegate instead of the origin server: the
@@ -285,23 +308,20 @@ impl LaunchedApp {
     ///
     /// # Errors
     ///
-    /// See [`elide_restore_targeted_diag`]; additionally
-    /// [`ElideError::Transport`] when the app was launched without a
-    /// delegate route.
+    /// As for [`Self::restore`]; with no delegate routed, the quoting
+    /// enclave refuses the targeted report ([`ElideError::Transport`]).
     pub fn restore_delegated(
         &mut self,
         restore_ecall_index: u64,
         delegate_mrenclave: &[u8; 32],
     ) -> Result<RestoreStats, ElideError> {
-        use std::sync::atomic::Ordering;
-        self.delegation.store(true, Ordering::SeqCst);
-        let result = elide_restore_targeted_diag(
+        restore::restore(
             &mut self.runtime,
             restore_ecall_index,
-            delegate_mrenclave,
+            Some(delegate_mrenclave),
+            &RetryPolicy::none(),
             &self.errors,
-        );
-        self.delegation.store(false, Ordering::SeqCst);
-        result
+            &self.delegation,
+        )
     }
 }

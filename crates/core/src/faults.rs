@@ -425,8 +425,9 @@ impl<W: Wire> Read for FaultyWire<W> {
         }
         if self.read_dead {
             // A dropped connection reads as EOF, exactly like a real peer
-            // hangup: Framed::recv reports a clean close or a truncated
-            // frame depending on where in the frame it happened.
+            // hangup: the frame decoder (FrameAssembler, blocking or not)
+            // reports a clean close or a truncated frame depending on
+            // where in the frame it happened.
             return Ok(0);
         }
         if buf.is_empty() {

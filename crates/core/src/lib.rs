@@ -15,17 +15,19 @@
 //! * [`elide_asm`] — the in-enclave restorer (`elide_restore`) in EV64
 //!   assembly, including sealing for server-free relaunches.
 //! * The provisioning service, split into four layers:
-//!   [`transport`] (length-prefixed framing with size limits and timeouts,
-//!   over TCP or an in-process channel), [`session`] (the per-connection
-//!   attested-handshake state machine), [`store`] (the MRENCLAVE-keyed
-//!   [`store::SecretStore`] so one server provisions many enclaves), and
-//!   [`service`] (a bounded worker pool with graceful shutdown).
+//!   [`transport`] (one length-prefixed frame codec with size limits and
+//!   timeouts, driven blocking or nonblocking, over TCP or an in-process
+//!   channel), [`session`] (the per-connection attested-handshake state
+//!   machine), [`store`] (the MRENCLAVE-keyed [`store::SecretStore`] so one
+//!   server provisions many enclaves), and [`service`] (sharded event
+//!   loops with graceful shutdown, plus the resident enclave pool).
 //!   [`server`] holds the shared `AuthServer` state and [`protocol`] the
 //!   client transports plus channel crypto.
 //! * [`restore`] — the untrusted ocalls (`elide_server_request`,
-//!   `elide_read_file`, `elide_write_file`), the restore entry point, and
-//!   the client-side [`restore::RetryPolicy`].
-//! * [`api`] — one-call `protect` / `launch` / `restore` orchestration.
+//!   `elide_read_file`, `elide_write_file`), the one restore path, and the
+//!   client-side [`restore::RetryPolicy`].
+//! * [`api`] — one-call `protect` / `launch` / `restore` orchestration;
+//!   [`api::LaunchedApp`] is the only host-side restore entry point.
 //! * [`delegation`] — peer-to-peer secret fan-out: a provisioned enclave
 //!   serves neighbor enclaves from a signed origin policy, so the origin
 //!   server is contacted once per host.

@@ -1,7 +1,15 @@
 //! The untrusted half of the Runtime Restorer: the `elide_server_request`,
 //! `elide_read_file` and `elide_write_file` ocalls (§3.4: "the ocalls are
-//! automatically called by our library"), plus the host-side helper that
+//! automatically called by our library"), and the one host-side path that
 //! invokes the `elide_restore` ecall.
+//!
+//! Developers never call into this module directly: a
+//! [`crate::api::LaunchedApp`] installs the ocalls when it is launched or
+//! attached, and its `restore*` methods all forward to the single private
+//! restore routine here — which clears stale diagnostics, arms delegation
+//! only for targeted restores, maps the guest status, lets the recorded
+//! host-side cause replace the guest's coarse status, and retries by
+//! [`RetryPolicy`] using [`is_transient`].
 
 use crate::elide_asm::{request, OCALL_READ_FILE, OCALL_SERVER_REQUEST, OCALL_WRITE_FILE};
 use crate::error::ElideError;
@@ -10,7 +18,7 @@ use elide_enclave::runtime::EnclaveRuntime;
 use sgx_sim::quote::QuotingEnclave;
 use sgx_sim::report::Report;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shared, persistent store for the sealed blob (stands in for the file the
 /// paper's step ❼ writes to disk; persists across enclave launches).
@@ -21,15 +29,30 @@ pub type SealedStore = Arc<Mutex<Option<Vec<u8>>>>;
 /// The ocall ABI can only hand the guest `-1`, which the guest folds into a
 /// coarse restore status — losing whether the failure was a timeout, an
 /// authentication rejection, or a server-side fault. The ocalls record the
-/// last host-side error here so [`elide_restore_diag`] can surface it.
-pub type ErrorSink = Arc<Mutex<Option<ElideError>>>;
+/// last host-side error here so the restore can report it instead.
+pub(crate) type ErrorSink = Arc<Mutex<Option<ElideError>>>;
+
+/// Arms delegated provisioning on a routed runtime: while armed (and a
+/// delegate is routed), the guest's `HANDSHAKE` ocall is forwarded to the
+/// delegate as a peer attestation instead of being quoted to the origin.
+pub(crate) type DelegationSwitch = Arc<AtomicBool>;
 
 fn record(sink: &ErrorSink, err: ElideError) {
-    *sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(err);
+    *sink.lock().unwrap_or_else(PoisonError::into_inner) = Some(err);
 }
 
 fn take(sink: &ErrorSink) -> Option<ElideError> {
-    sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
+    sink.lock().unwrap_or_else(PoisonError::into_inner).take()
+}
+
+/// Locks a server transport for one request. A transport poisoned by a
+/// panic elsewhere may hold a half-written frame, so it is not reused: the
+/// request fails closed with a transport error the restore reports.
+fn lock_transport<'a>(
+    transport: &'a Mutex<dyn Transport + Send + 'static>,
+    which: &str,
+) -> Result<MutexGuard<'a, dyn Transport + Send + 'static>, ElideError> {
+    transport.lock().map_err(|_| ElideError::Transport(format!("{which} transport lock poisoned")))
 }
 
 /// Creates an empty sealed store.
@@ -44,18 +67,6 @@ pub struct ElideFiles {
     pub data_file: Option<Vec<u8>>,
     /// The sealed blob store.
     pub sealed: SealedStore,
-}
-
-impl ElideFiles {
-    /// Files for remote mode: no local data, fresh sealed store.
-    pub fn remote() -> Self {
-        ElideFiles { data_file: None, sealed: new_sealed_store() }
-    }
-
-    /// Files for local mode.
-    pub fn local(data_file: Vec<u8>) -> Self {
-        ElideFiles { data_file: Some(data_file), sealed: new_sealed_store() }
-    }
 }
 
 /// Where a routed restore's server requests go: the origin authentication
@@ -82,32 +93,13 @@ impl RestoreRoute {
     }
 }
 
-/// Arms/disarms delegated provisioning on a routed runtime: while armed
-/// (and a delegate is routed), the guest's `HANDSHAKE` ocall is forwarded
-/// to the delegate as a peer attestation instead of being quoted to the
-/// origin. [`crate::api::LaunchedApp::restore_delegated`] arms it around
-/// the targeted restore ecall.
-pub type DelegationSwitch = Arc<AtomicBool>;
-
 /// Installs the three SgxElide ocalls into an enclave runtime.
 ///
-/// The `elide_server_request` handler additionally converts the enclave's
+/// The `elide_server_request` handler converts the enclave's
 /// local-attestation report into a quote via the platform quoting enclave
 /// before forwarding the handshake — the host-side leg of remote
-/// attestation.
-///
-/// Returns an [`ErrorSink`] that captures the underlying host-side error
-/// whenever `elide_server_request` fails (the guest itself only sees `-1`).
-pub fn install_elide_ocalls(
-    rt: &mut EnclaveRuntime,
-    transport: Arc<Mutex<dyn Transport + Send>>,
-    qe: Arc<QuotingEnclave>,
-    files: ElideFiles,
-) -> ErrorSink {
-    install_elide_ocalls_routed(rt, RestoreRoute::origin_only(transport), qe, files).0
-}
-
-/// [`install_elide_ocalls`] with delegate routing.
+/// attestation. Every failure reaches the guest as `-1`; the underlying
+/// host-side error is kept in the returned [`ErrorSink`].
 ///
 /// While the returned [`DelegationSwitch`] is armed and the route has a
 /// delegate, the guest's `HANDSHAKE` — whose payload is the raw
@@ -117,7 +109,7 @@ pub fn install_elide_ocalls(
 /// reports not targeted at itself). Follow-up requests of the same restore
 /// stay on the delegate. Disarmed, the classic quote-to-origin path runs
 /// unchanged, so one runtime can fall back without relaunching.
-pub fn install_elide_ocalls_routed(
+pub(crate) fn install_ocalls(
     rt: &mut EnclaveRuntime,
     route: RestoreRoute,
     qe: Arc<QuotingEnclave>,
@@ -143,7 +135,7 @@ pub fn install_elide_ocalls_routed(
             let in_len = regs[3] as usize;
             let out_ptr = regs[4];
             let out_cap = regs[5] as usize;
-            let use_delegate = delegate.is_some() && armed_flag.load(Ordering::SeqCst);
+            let delegate = delegate.as_ref().filter(|_| armed_flag.load(Ordering::SeqCst));
             if req as u64 == request::HANDSHAKE {
                 delegate_session = false;
             }
@@ -153,13 +145,10 @@ pub fn install_elide_ocalls_routed(
                     if payload.len() <= Report::SERIALIZED_LEN {
                         return Err(ElideError::Transport("handshake payload too short".into()));
                     }
-                    if use_delegate {
+                    if let Some(delegate) = delegate {
                         // The report targets the delegate, not the quoting
                         // enclave: forward it raw as a peer attestation.
-                        let delegate = delegate.as_ref().expect("use_delegate checked");
-                        let body = delegate
-                            .lock()
-                            .expect("delegate transport mutex")
+                        let body = lock_transport(delegate, "delegate")?
                             .request(request::PEER_ATTEST as u8, &payload)?;
                         delegate_session = true;
                         return Ok(body);
@@ -176,12 +165,11 @@ pub fn install_elide_ocalls_routed(
                     fwd.extend_from_slice(&quote_len.to_le_bytes());
                     fwd.extend_from_slice(&quote_bytes);
                     fwd.extend_from_slice(&payload[Report::SERIALIZED_LEN..]);
-                    origin.lock().expect("transport mutex").request(req, &fwd)
-                } else if delegate_session && use_delegate {
-                    let delegate = delegate.as_ref().expect("use_delegate checked");
-                    delegate.lock().expect("delegate transport mutex").request(req, &payload)
+                    lock_transport(&origin, "origin")?.request(req, &fwd)
+                } else if let Some(delegate) = delegate.filter(|_| delegate_session) {
+                    lock_transport(delegate, "delegate")?.request(req, &payload)
                 } else {
-                    origin.lock().expect("transport mutex").request(req, &payload)
+                    lock_transport(&origin, "origin")?.request(req, &payload)
                 }
             })();
             match result {
@@ -211,6 +199,9 @@ pub fn install_elide_ocalls_routed(
         }),
     );
 
+    // The sealed store holds plain bytes with no invariant a panicking
+    // holder could break, so a poisoned lock is recovered, not propagated.
+
     // --- elide_read_file ---
     let data_file = files.data_file.clone();
     let sealed = Arc::clone(&files.sealed);
@@ -221,7 +212,7 @@ pub fn install_elide_ocalls_routed(
             let out_cap = regs[5] as usize;
             let contents: Option<Vec<u8>> = match regs[1] {
                 0 => data_file.clone(),
-                1 => sealed.lock().expect("sealed store").clone(),
+                1 => sealed.lock().unwrap_or_else(PoisonError::into_inner).clone(),
                 _ => None,
             };
             match contents {
@@ -242,7 +233,7 @@ pub fn install_elide_ocalls_routed(
         Box::new(move |regs, mem| {
             if regs[1] == 1 {
                 let bytes = mem.read(regs[2], regs[3] as usize)?;
-                *sealed.lock().expect("sealed store") = Some(bytes);
+                *sealed.lock().unwrap_or_else(PoisonError::into_inner) = Some(bytes);
                 regs[0] = 0;
             } else {
                 regs[0] = u64::MAX;
@@ -295,88 +286,6 @@ impl RetryPolicy {
     }
 }
 
-/// Invokes the `elide_restore` ecall (the single call a developer adds,
-/// §3.4) and maps its status to an error.
-///
-/// # Errors
-///
-/// * [`ElideError::RestoreFailed`] — the enclave reported a failure status
-///   (see [`crate::elide_asm::restore_status`]).
-/// * [`ElideError::Enclave`] — the ecall itself faulted.
-pub fn elide_restore(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-) -> Result<RestoreStats, ElideError> {
-    elide_restore_input(rt, restore_ecall_index, &[])
-}
-
-/// [`elide_restore`] with a 32-byte target MRENCLAVE as the ecall input:
-/// the guest attests to *that* enclave (a local delegate) instead of the
-/// quoting enclave, enabling delegated provisioning. With an empty input
-/// the guest takes the classic quoting-enclave path.
-///
-/// # Errors
-///
-/// See [`elide_restore`].
-pub fn elide_restore_targeted(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    target_mrenclave: &[u8; 32],
-) -> Result<RestoreStats, ElideError> {
-    elide_restore_input(rt, restore_ecall_index, target_mrenclave)
-}
-
-fn elide_restore_input(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    input: &[u8],
-) -> Result<RestoreStats, ElideError> {
-    let result = rt.ecall(restore_ecall_index, input, 0)?;
-    if result.status != crate::elide_asm::restore_status::OK {
-        return Err(ElideError::RestoreFailed { status: result.status });
-    }
-    Ok(RestoreStats { instructions: result.instructions })
-}
-
-/// [`elide_restore`], but when the restore status is a coarse failure code
-/// and the ocalls recorded the underlying host-side error in `sink`, that
-/// underlying error is returned instead of the bare status.
-///
-/// # Errors
-///
-/// See [`elide_restore`]; additionally surfaces recorded
-/// [`ElideError::Transport`] / [`ElideError::Server`] causes.
-pub fn elide_restore_diag(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    sink: &ErrorSink,
-) -> Result<RestoreStats, ElideError> {
-    let _ = take(sink); // clear stale errors from a previous attempt
-    match elide_restore(rt, restore_ecall_index) {
-        Ok(stats) => Ok(stats),
-        Err(status_err) => Err(take(sink).unwrap_or(status_err)),
-    }
-}
-
-/// [`elide_restore_targeted`] with the same error-sink upgrade as
-/// [`elide_restore_diag`].
-///
-/// # Errors
-///
-/// See [`elide_restore_diag`].
-pub fn elide_restore_targeted_diag(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    target_mrenclave: &[u8; 32],
-    sink: &ErrorSink,
-) -> Result<RestoreStats, ElideError> {
-    let _ = take(sink);
-    match elide_restore_targeted(rt, restore_ecall_index, target_mrenclave) {
-        Ok(stats) => Ok(stats),
-        Err(status_err) => Err(take(sink).unwrap_or(status_err)),
-    }
-}
-
 /// True when `err` is a failure a healthy server could later satisfy, so a
 /// client retry is worthwhile. Authentication rejections
 /// ([`ServerError::AttestationFailed`] / [`ServerError::WrongEnclave`] /
@@ -398,7 +307,7 @@ pub fn is_transient(err: &ElideError) -> bool {
         // re-handshake repairs that.
         ElideError::Server(ServerError::Internal | ServerError::NoSession) => true,
         ElideError::Server(_) => false,
-        // Coarse guest statuses with no recorded cause: same set as before.
+        // Coarse guest statuses with no recorded cause.
         ElideError::RestoreFailed {
             status:
                 restore_status::HANDSHAKE_FAILED
@@ -409,63 +318,124 @@ pub fn is_transient(err: &ElideError) -> bool {
     }
 }
 
-fn restore_with_retry_inner(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
-    policy: &RetryPolicy,
-    sink: Option<&ErrorSink>,
-) -> Result<RestoreStats, ElideError> {
-    let attempt = |rt: &mut EnclaveRuntime| match sink {
-        Some(sink) => elide_restore_diag(rt, restore_ecall_index, sink),
-        None => elide_restore(rt, restore_ecall_index),
-    };
-    let mut last;
-    match attempt(rt) {
-        Ok(stats) => return Ok(stats),
-        Err(e) => last = e,
-    }
-    for delay in policy.delays() {
-        if !is_transient(&last) {
-            return Err(last);
-        }
-        std::thread::sleep(delay);
-        match attempt(rt) {
-            Ok(stats) => return Ok(stats),
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
-}
-
-/// [`elide_restore`] with retries: transient failures (a server still
-/// starting, a dropped connection mid-handshake) surface as restore
-/// statuses, and each retry re-runs the full handshake after an
-/// exponential backoff. Non-transient errors (e.g. a bad server key or an
-/// attestation rejection) fail immediately; see [`is_transient`].
+/// The one restore path: invokes the `elide_restore` ecall (the single
+/// call a developer adds, §3.4) on a runtime wired by [`install_ocalls`].
+///
+/// With a `target` MRENCLAVE the guest attests to that enclave (a local
+/// delegate) instead of the quoting enclave, and `switch` routes the
+/// handshake to the delegate for the duration of the call. Each attempt
+/// starts with a cleared `sink`; a failure reports the host-side cause the
+/// ocalls recorded, else the guest's status. Transient failures (see
+/// [`is_transient`]) re-run the full restore after each backoff delay of
+/// `policy`.
 ///
 /// # Errors
 ///
-/// The last error once retries are exhausted; see [`elide_restore`].
-pub fn elide_restore_with_retry(
+/// The last attempt's error: a recorded [`ElideError::Transport`] /
+/// [`ElideError::Server`] cause, an [`ElideError::RestoreFailed`] status
+/// (see [`crate::elide_asm::restore_status`]), or [`ElideError::Enclave`]
+/// when the ecall itself faulted.
+pub(crate) fn restore(
     rt: &mut EnclaveRuntime,
     restore_ecall_index: u64,
-    policy: &RetryPolicy,
-) -> Result<RestoreStats, ElideError> {
-    restore_with_retry_inner(rt, restore_ecall_index, policy, None)
-}
-
-/// [`elide_restore_with_retry`] with an [`ErrorSink`]: every attempt reads
-/// the recorded underlying error, so transience is judged on (and the final
-/// error reports) the real cause, not the guest's coarse status.
-///
-/// # Errors
-///
-/// The last *underlying* error once retries are exhausted.
-pub fn elide_restore_with_retry_diag(
-    rt: &mut EnclaveRuntime,
-    restore_ecall_index: u64,
+    target: Option<&[u8; 32]>,
     policy: &RetryPolicy,
     sink: &ErrorSink,
+    switch: &DelegationSwitch,
 ) -> Result<RestoreStats, ElideError> {
-    restore_with_retry_inner(rt, restore_ecall_index, policy, Some(sink))
+    let input: &[u8] = target.map_or(&[], |t| t.as_slice());
+    switch.store(target.is_some(), Ordering::SeqCst);
+    let mut attempt = || {
+        let _ = take(sink); // clear stale errors from a previous attempt
+        let failure = match rt.ecall(restore_ecall_index, input, 0) {
+            Ok(r) if r.status == crate::elide_asm::restore_status::OK => {
+                return Ok(RestoreStats { instructions: r.instructions });
+            }
+            Ok(r) => ElideError::RestoreFailed { status: r.status },
+            Err(e) => e.into(),
+        };
+        Err(take(sink).unwrap_or(failure))
+    };
+    let mut result = attempt();
+    for delay in policy.delays() {
+        match &result {
+            Err(e) if is_transient(e) => std::thread::sleep(delay),
+            _ => break,
+        }
+        result = attempt();
+    }
+    switch.store(false, Ordering::SeqCst);
+    result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{protect, Mode, Platform, ProtectedPackage};
+    use crate::elide_asm::ELIDE_ASM;
+    use crate::protocol::InProcessTransport;
+    use crate::sanitizer::DataPlacement;
+    use elide_crypto::rng::SeededRandom;
+    use elide_crypto::rsa::RsaKeyPair;
+    use elide_enclave::image::EnclaveImageBuilder;
+    use sgx_sim::quote::AttestationService;
+
+    const SECRET: u64 = 0;
+    const RESTORE: u64 = 1;
+
+    fn setup(seed: u64) -> (ProtectedPackage, Platform, Arc<Mutex<dyn Transport + Send>>) {
+        let mut b = EnclaveImageBuilder::new();
+        b.source(ELIDE_ASM)
+            .source(".section text\n.global s\n.func s\n    movi r0, 42\n    ret\n.endfunc\n")
+            .ecall("s")
+            .ecall("elide_restore");
+        let image = b.build().unwrap();
+        let mut rng = SeededRandom::new(seed);
+        let vendor = RsaKeyPair::generate(512, &mut rng);
+        let package =
+            protect(&image, &vendor, &Mode::Whitelist, DataPlacement::Remote, &mut rng).unwrap();
+        let mut ias = AttestationService::new();
+        let platform = Platform::provision(&mut rng, &mut ias);
+        let server = Arc::new(package.make_server(ias));
+        (package, platform, Arc::new(Mutex::new(InProcessTransport::new(server))))
+    }
+
+    /// Poisons `lock` the way a host thread panicking mid-request would.
+    fn poison<T: ?Sized + Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = lock.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_transport_fails_closed_with_a_transport_error() {
+        let (package, platform, transport) = setup(0x9015);
+        let mut app =
+            package.launch(&platform, Arc::clone(&transport), new_sealed_store(), 1).unwrap();
+        poison(&transport);
+        let err = app.restore(RESTORE).unwrap_err();
+        assert!(matches!(err, ElideError::Transport(_)), "{err:?}");
+        assert!(app.runtime.ecall(SECRET, &[], 0).is_err(), "secret must stay unexecutable");
+    }
+
+    #[test]
+    fn poisoned_sealed_store_still_warm_starts() {
+        let (package, platform, transport) = setup(0x5EA1);
+        let sealed = new_sealed_store();
+        package
+            .launch(&platform, transport, Arc::clone(&sealed), 2)
+            .unwrap()
+            .restore(RESTORE)
+            .unwrap();
+        poison(&sealed);
+        let plan = package.image_plan().unwrap();
+        let mut app = package.warm_start(&plan, &platform, sealed, 3).unwrap();
+        app.restore(RESTORE).unwrap();
+        assert_eq!(app.runtime.ecall(SECRET, &[], 0).unwrap().status, 42);
+    }
 }

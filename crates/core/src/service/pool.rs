@@ -75,6 +75,28 @@ struct PoolEntry {
     last_used: u64,
 }
 
+impl PoolEntry {
+    /// Counts one more launch and returns its RNG seed, distinct per launch.
+    fn next_launch_seed(&mut self) -> u64 {
+        self.launches += 1;
+        self.seed ^ (self.launches << 32)
+    }
+}
+
+/// Arms a per-enclave [`EpcBudget`] of `page_cap` pages on a freshly
+/// launched resident (no-op without a cap).
+fn arm_budget(
+    page_cap: Option<usize>,
+    launch_seed: u64,
+    app: &mut LaunchedApp,
+) -> Result<(), ElideError> {
+    if let Some(cap) = page_cap {
+        let mut rng = SeededRandom::new(launch_seed ^ 0xB0D6E7);
+        app.runtime.set_epc_budget(EpcBudget::new(cap, &mut rng))?;
+    }
+    Ok(())
+}
+
 /// An LRU pool of provisioned enclaves; see the module docs.
 pub struct EnclavePool {
     config: PoolConfig,
@@ -169,8 +191,9 @@ impl EnclavePool {
             resident: None,
             last_used: 0,
         };
-        let mut app = self.cold_provision(&mut entry)?;
-        self.arm_budget(&mut entry, &mut app)?;
+        let launch_seed = entry.next_launch_seed();
+        let mut app = self.cold_provision(&entry, launch_seed)?;
+        arm_budget(self.config.page_cap, launch_seed, &mut app)?;
         entry.resident = Some(app);
         self.make_room(Some(id));
         self.clock += 1;
@@ -200,25 +223,20 @@ impl EnclavePool {
             self.stats.hits += 1;
         } else {
             self.make_room(Some(id));
+            let page_cap = self.config.page_cap;
             let entry = self.entries.get_mut(id).expect("checked above");
-            entry.launches += 1;
-            let launch_seed = entry.seed ^ (entry.launches << 32);
+            let launch_seed = entry.next_launch_seed();
             let mut app = entry.package.warm_start(
                 &entry.plan,
                 &entry.platform,
                 Arc::clone(&entry.sealed),
                 launch_seed,
             )?;
-            // (borrow of self.entries ends here; re-borrow below)
-            let page_cap = self.config.page_cap;
-            if let Some(cap) = page_cap {
-                let mut rng = SeededRandom::new(launch_seed ^ 0xB0D6E7);
-                app.runtime.set_epc_budget(EpcBudget::new(cap, &mut rng))?;
-            }
+            arm_budget(page_cap, launch_seed, &mut app)?;
             // The sealed fast path needs no server; a restore that tries
             // to reach one fails loudly via the OfflineTransport.
-            app.restore(self.entries[id].restore_idx)?;
-            self.entries.get_mut(id).expect("checked above").resident = Some(app);
+            app.restore(entry.restore_idx)?;
+            entry.resident = Some(app);
             self.stats.warm_starts += 1;
         }
         let entry = self.entries.get_mut(id).expect("checked above");
@@ -242,23 +260,29 @@ impl EnclavePool {
     /// delegate covering this enclave, the restore is served locally and
     /// the origin is never contacted; a failed delegated restore falls
     /// back to the origin on the same runtime.
-    fn cold_provision(&mut self, entry: &mut PoolEntry) -> Result<LaunchedApp, ElideError> {
-        entry.launches += 1;
-        let launch_seed = entry.seed ^ (entry.launches << 32);
+    fn cold_provision(
+        &mut self,
+        entry: &PoolEntry,
+        launch_seed: u64,
+    ) -> Result<LaunchedApp, ElideError> {
         let delegate = self.delegates.as_ref().and_then(|registry| {
             let mrsigner = entry.package.sigstruct.mrsigner().ok()?;
             registry.delegate_for(&entry.package.mrenclave, &mrsigner)
         });
+        let route = RestoreRoute {
+            origin: Arc::clone(&entry.transport),
+            delegate: delegate
+                .as_ref()
+                .map(|d| Arc::new(Mutex::new(d.connect())) as Arc<Mutex<dyn Transport + Send>>),
+        };
+        let mut app = entry.package.launch_routed(
+            &entry.plan,
+            &entry.platform,
+            route,
+            Arc::clone(&entry.sealed),
+            launch_seed,
+        )?;
         if let Some(delegate) = delegate {
-            let peer: Arc<Mutex<dyn Transport + Send>> = Arc::new(Mutex::new(delegate.connect()));
-            let route = RestoreRoute { origin: Arc::clone(&entry.transport), delegate: Some(peer) };
-            let mut app = entry.package.launch_routed(
-                &entry.plan,
-                &entry.platform,
-                route,
-                Arc::clone(&entry.sealed),
-                launch_seed,
-            )?;
             let target = delegate.policy().delegate_mrenclave;
             if app.restore_delegated(entry.restore_idx, &target).is_ok() {
                 self.stats.delegated_provisions += 1;
@@ -266,26 +290,9 @@ impl EnclavePool {
             }
             // Delegate rejected or died mid-restore: same runtime, origin
             // route (the switch is disarmed again), full handshake.
-            app.restore(entry.restore_idx)?;
-            return Ok(app);
         }
-        let mut app = entry.package.launch_planned(
-            &entry.plan,
-            &entry.platform,
-            Arc::clone(&entry.transport),
-            Arc::clone(&entry.sealed),
-            launch_seed,
-        )?;
         app.restore(entry.restore_idx)?;
         Ok(app)
-    }
-
-    fn arm_budget(&self, entry: &mut PoolEntry, app: &mut LaunchedApp) -> Result<(), ElideError> {
-        if let Some(cap) = self.config.page_cap {
-            let mut rng = SeededRandom::new(entry.seed ^ (entry.launches << 32) ^ 0xB0D6E7);
-            app.runtime.set_epc_budget(EpcBudget::new(cap, &mut rng))?;
-        }
-        Ok(())
     }
 
     /// Evicts LRU residents until there is room for one more (the entry

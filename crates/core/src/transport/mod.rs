@@ -1,10 +1,12 @@
 //! Wire layer: length-prefixed framing with hard size limits and
 //! read/write timeouts, over any bidirectional byte stream.
 //!
-//! The same [`Framed`] codec runs on both sides of both transports —
-//! loopback TCP ([`tcp`]) and the in-process channel ([`channel`]) — so
-//! tests and benches exercise the identical code path the network server
-//! uses. Frame format (unchanged from the paper's `server.py` protocol):
+//! One frame codec serves every wire: [`WriteBuffer`] encodes and
+//! [`FrameAssembler`] decodes, both for the nonblocking shard event loop
+//! and under the blocking [`Framed`] loop the clients use, over loopback
+//! TCP ([`tcp`]) and the in-process channel ([`channel`]) alike — so tests
+//! and benches exercise the identical framing the network server uses.
+//! Frame format (unchanged from the paper's `server.py` protocol):
 //!
 //! ```text
 //! request  = [req u8][len u32 LE][payload]
@@ -175,10 +177,14 @@ pub trait Listener: Send {
     fn closer(&self) -> Box<dyn Fn() + Send + Sync>;
 }
 
-/// Length-prefixed frame codec over a [`Wire`], enforcing [`Limits`].
+/// Blocking frame codec over a [`Wire`], enforcing [`Limits`]: a thin
+/// loop over the same [`WriteBuffer`] encoder and [`FrameAssembler`]
+/// decoder the nonblocking shard loop uses, so the frame format and its
+/// limit checks live in one place.
 pub struct Framed<W: Wire> {
     wire: W,
     limits: Limits,
+    out: WriteBuffer,
 }
 
 impl<W: Wire> std::fmt::Debug for Framed<W> {
@@ -201,7 +207,7 @@ impl<W: Wire> Framed<W> {
         // builder: a limit above u32::MAX would let frame lengths wrap.
         let limits = limits.clamped();
         wire.apply_limits(&limits)?;
-        Ok(Framed { wire, limits })
+        Ok(Framed { wire, limits, out: WriteBuffer::new() })
     }
 
     /// The configured limits.
@@ -218,29 +224,17 @@ impl<W: Wire> Framed<W> {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` if the payload exceeds the frame limit; otherwise the
+    /// `InvalidInput` if the payload exceeds the frame limit; `TimedOut`
+    /// if the peer stops reading past the write timeout; otherwise the
     /// wire's write errors.
     pub fn send(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > self.limits.max_frame {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("frame of {} bytes exceeds limit {}", payload.len(), self.limits.max_frame),
-            ));
+        self.out.push_frame(tag, payload, &self.limits)?;
+        // A blocking wire only reports `WouldBlock` once its timeout expires.
+        if self.out.flush(&mut self.wire)? {
+            Ok(())
+        } else {
+            Err(Deadline::timeout_error("write"))
         }
-        // max_frame <= u32::MAX is enforced at construction; try_from
-        // keeps that invariant checked rather than silently wrapping.
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("frame of {} bytes exceeds the u32 length prefix", payload.len()),
-            )
-        })?;
-        let mut header = [0u8; 5];
-        header[0] = tag;
-        header[1..5].copy_from_slice(&len.to_le_bytes());
-        self.wire.write_all(&header)?;
-        self.wire.write_all(payload)?;
-        self.wire.flush()
     }
 
     /// Receives one frame. `Ok(None)` means the peer closed cleanly at a
@@ -250,25 +244,15 @@ impl<W: Wire> Framed<W> {
     ///
     /// * `InvalidData` — declared length exceeds the frame limit.
     /// * `UnexpectedEof` — the peer closed mid-frame (truncated frame).
-    /// * `TimedOut`/`WouldBlock` — the peer stalled past the read timeout.
+    /// * `TimedOut` — the peer stalled past the read timeout.
     pub fn recv(&mut self) -> io::Result<Option<(u8, Vec<u8>)>> {
-        let mut tag = [0u8; 1];
-        // Distinguish clean EOF (no frame started) from a truncated frame.
-        if self.wire.read(&mut tag)? == 0 {
-            return Ok(None);
+        // A blocking receive ends in a whole frame or a connection-fatal
+        // error, so no decoder state outlives the call.
+        match FrameAssembler::new(&self.limits).poll(&mut self.wire)? {
+            FrameProgress::Frame(tag, payload) => Ok(Some((tag, payload))),
+            FrameProgress::Closed => Ok(None),
+            FrameProgress::Pending => Err(Deadline::timeout_error("read")),
         }
-        let mut len_bytes = [0u8; 4];
-        self.wire.read_exact(&mut len_bytes)?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > self.limits.max_frame {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("declared frame length {len} exceeds limit {}", self.limits.max_frame),
-            ));
-        }
-        let mut payload = vec![0u8; len];
-        self.wire.read_exact(&mut payload)?;
-        Ok(Some((tag[0], payload)))
     }
 }
 
@@ -289,14 +273,14 @@ pub enum FrameProgress {
 }
 
 /// Incremental decoder for the `[tag u8][len u32 LE][payload]` frame
-/// format: the nonblocking counterpart of [`Framed::recv`].
+/// format — the one decoder, under both [`Framed::recv`] and the shard
+/// event loop.
 ///
 /// A shard event loop calls [`FrameAssembler::poll`] whenever a wire might
 /// be readable; partial headers and payloads are carried across calls, so
 /// a frame fragmented over any number of reads (short reads, slow peers)
-/// reassembles exactly once. Limit enforcement matches `Framed::recv`:
-/// oversized declared lengths are `InvalidData`, a peer vanishing
-/// mid-frame is `UnexpectedEof`.
+/// reassembles exactly once. Oversized declared lengths are `InvalidData`,
+/// a peer vanishing mid-frame is `UnexpectedEof`.
 #[derive(Debug)]
 pub struct FrameAssembler {
     max_frame: usize,
@@ -423,8 +407,8 @@ impl FrameAssembler {
     }
 }
 
-/// Outbound byte queue for a nonblocking wire: the counterpart of
-/// [`Framed::send`] when a write may take `WouldBlock`.
+/// Outbound frame queue — the one encoder, under both [`Framed::send`]
+/// and the shard event loop, where a write may take `WouldBlock`.
 ///
 /// Frames are encoded into the queue immediately (so the caller never
 /// blocks building a response) and drained opportunistically by
@@ -450,8 +434,7 @@ impl WriteBuffer {
         self.buf.len()
     }
 
-    /// Encodes one `[tag][len u32][payload]` frame into the queue, with
-    /// the same limit checks as [`Framed::send`].
+    /// Encodes one `[tag][len u32][payload]` frame into the queue.
     ///
     /// # Errors
     ///

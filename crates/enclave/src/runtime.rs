@@ -745,12 +745,6 @@ impl EnclaveRuntime {
     /// Wraps a loaded enclave, supplying the RNG for trusted services
     /// (seeded in tests for reproducibility).
     pub fn with_rng(loaded: LoadedEnclave, rng: Box<dyn RandomSource + Send>) -> Self {
-        let mut vm = Vm::new(loaded.entry);
-        // `ELIDE_EXEC=interp` forces the instruction-at-a-time loop —
-        // the escape hatch for differential debugging and A/B benches.
-        if std::env::var("ELIDE_EXEC").as_deref() == Ok("interp") {
-            vm.set_engine(Engine::Interp);
-        }
         EnclaveRuntime {
             world: EnclaveWorld {
                 enclave: loaded.enclave,
@@ -766,7 +760,7 @@ impl EnclaveRuntime {
             ocalls: HashMap::new(),
             fuel: DEFAULT_FUEL,
             retired_total: 0,
-            vm,
+            vm: Vm::new(loaded.entry),
         }
     }
 
@@ -775,9 +769,9 @@ impl EnclaveRuntime {
         self.vm.stats
     }
 
-    /// Selects the execution tier for subsequent ecalls (the
-    /// `ELIDE_EXEC=interp` environment override does the same at
-    /// construction).
+    /// Selects the execution tier for subsequent ecalls (the superblock
+    /// engine by default; [`Engine::Interp`] for differential debugging
+    /// and A/B benches).
     pub fn set_engine(&mut self, engine: Engine) {
         self.vm.set_engine(engine);
     }

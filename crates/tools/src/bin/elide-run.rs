@@ -15,10 +15,9 @@
 //! exponential backoff, so `elide-run` can be started before (or racing)
 //! `elide-server`.
 
+use elide_core::api::LaunchedApp;
 use elide_core::protocol::{TcpTransport, Transport};
-use elide_core::restore::{
-    elide_restore_with_retry, install_elide_ocalls, ElideFiles, RetryPolicy,
-};
+use elide_core::restore::{ElideFiles, RestoreRoute, RetryPolicy};
 use elide_core::transport::Limits;
 use elide_core::ElideError;
 use elide_tools::{parse_hex, read_file, run_tool, to_hex, write_file, Args, PlatformFile};
@@ -108,7 +107,7 @@ fn real_main() -> Result<(), String> {
     let t0 = Instant::now();
     let loaded = elide_enclave::loader::load_enclave(&platform.cpu, &image, &sigstruct)
         .map_err(|e| format!("load failed: {e}"))?;
-    let mut rt = elide_enclave::EnclaveRuntime::new(loaded);
+    let rt = elide_enclave::EnclaveRuntime::new(loaded);
 
     let sealed_store = Arc::new(Mutex::new(match &sealed_path {
         Some(p) if Path::new(p).exists() => Some(read_file(p)?),
@@ -122,10 +121,11 @@ fn real_main() -> Result<(), String> {
         sealed: Arc::clone(&sealed_store),
     };
     let transport = Arc::new(Mutex::new(LazyTcp { addr: server, policy, connected: None }));
-    install_elide_ocalls(&mut rt, transport, Arc::new(platform.qe), files);
+    let mut app =
+        LaunchedApp::attach(rt, RestoreRoute::origin_only(transport), Arc::new(platform.qe), files);
 
-    let stats = elide_restore_with_retry(&mut rt, restore_index, &policy)
-        .map_err(|e| format!("restore: {e}"))?;
+    let stats =
+        app.restore_with_retry(restore_index, &policy).map_err(|e| format!("restore: {e}"))?;
     println!(
         "Time elapsed in enclave initialization: {:.3} ms ({} guest instructions)",
         t0.elapsed().as_secs_f64() * 1e3,
@@ -141,7 +141,7 @@ fn real_main() -> Result<(), String> {
     // --- application ecall ---
     if let Some(index) = ecall {
         let index = index.map_err(|e| format!("bad --ecall: {e}"))?;
-        let r = rt.ecall(index, &input, out_cap).map_err(|e| format!("ecall: {e}"))?;
+        let r = app.runtime.ecall(index, &input, out_cap).map_err(|e| format!("ecall: {e}"))?;
         println!("status = {}", r.status);
         if out_cap > 0 {
             println!("output = {}", to_hex(&r.output));

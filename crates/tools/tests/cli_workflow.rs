@@ -259,6 +259,57 @@ fn local_data_workflow() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// An authentication rejection is final: against a server pinned to a
+/// different MRENCLAVE, `elide-run --retries` must fail on the first
+/// attempt and report the server's reason, not a bare guest status.
+#[test]
+fn wrong_enclave_fails_fast_with_the_server_reason() {
+    let dir = workdir("wrong-enclave");
+    fs::write(dir.join("guest.s"), GUEST).unwrap();
+    run("ev64-ld", &["--out", "enclave.so", "--elide", "--ecall", "get_magic", "guest.s"], &dir);
+    run(
+        "elide-sanitize",
+        &["enclave.so", "--out", "sanitized.so", "--meta", "m.bin", "--data", "d.bin"],
+        &dir,
+    );
+    run(
+        "elide-sign",
+        &["sanitized.so", "--key", "vendor.key", "--out", "enclave.sig", "--gen-key"],
+        &dir,
+    );
+
+    let port = free_port();
+    let listen = format!("127.0.0.1:{port}");
+    let other_enclave = "ab".repeat(32);
+    let mut server = Command::new(env!("CARGO_BIN_EXE_elide-server"))
+        .args(["--meta", "m.bin", "--data", "d.bin", "--listen", &listen])
+        .args(["--platform", "platform.bin", "--mrenclave", &other_enclave])
+        .current_dir(&dir)
+        .spawn()
+        .expect("server spawn");
+    for _ in 0..100 {
+        if std::net::TcpStream::connect(&listen).is_ok() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_elide-run"))
+        .args(["sanitized.so", "--sig", "enclave.sig", "--platform", "platform.bin"])
+        .args(["--server", &listen, "--restore-index", "1", "--ecall", "0", "--retries", "3"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn elide-run");
+    server.kill().ok();
+    server.wait().ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a rejected enclave must not run:\n{stdout}");
+    assert!(stderr.contains("server error: quoted enclave is not the expected one"), "{stderr}");
+    assert!(!stdout.contains("status") && !stderr.contains("status"), "{stdout}\n{stderr}");
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn sanitized_enclave_is_unreadable() {
     let dir = workdir("secrecy");

@@ -12,7 +12,7 @@
 
 use sgxelide::apps::harness::App;
 use sgxelide::apps::{all_apps, run_workload};
-use sgxelide::core::api::{protect, Mode, Platform, ProtectedPackage};
+use sgxelide::core::api::{protect, LaunchedApp, Mode, Platform, ProtectedPackage};
 use sgxelide::core::client::ProvisionClient;
 use sgxelide::core::delegation::{DelegateRegistry, DelegateServer, EcallReportVerifier};
 use sgxelide::core::elide_asm::{request, ELIDE_ASM};
@@ -42,11 +42,29 @@ use sgxelide::sgx::quote::{AttestationService, QE_MEASUREMENT};
 use sgxelide::sgx::report::{ereport, TargetInfo};
 use sgxelide::sgx::sigstruct::SigStruct;
 use sgxelide::sgx::{Enclave, SgxError};
+use sgxelide::vm::interp::Engine;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
+
+/// The engine every launched app runs: `ELIDE_EXEC=interp` selects the
+/// instruction-at-a-time interpreter (CI's second chaos pass); otherwise
+/// the default superblock engine.
+fn engine() -> Engine {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    *ENGINE.get_or_init(|| match std::env::var("ELIDE_EXEC").as_deref() {
+        Ok("interp") => Engine::Interp,
+        _ => Engine::default(),
+    })
+}
+
+/// Puts a freshly launched app on [`engine`] before its restore runs.
+fn with_engine(mut app: LaunchedApp) -> LaunchedApp {
+    app.runtime.set_engine(engine());
+    app
+}
 
 /// Seeded schedules per (app, transport) cell. Three apps × two transports
 /// × 17 = 102 schedules, over the ≥ 100 floor.
@@ -242,10 +260,11 @@ fn run_schedule(
     let transport: Arc<Mutex<dyn Transport + Send>> =
         Arc::new(Mutex::new(ReconnectingTransport { connect, conn: None }));
     let handshakes_before = cell.server.handshakes();
-    let mut launched = cell
-        .package
-        .launch(&cell.platform, transport, new_sealed_store(), seed ^ 0x5EED)
-        .expect("launch touches no faulted path");
+    let mut launched = with_engine(
+        cell.package
+            .launch(&cell.platform, transport, new_sealed_store(), seed ^ 0x5EED)
+            .expect("launch touches no faulted path"),
+    );
     // Every schedule runs 4x-oversubscribed: the restore and the workload
     // execute under transparent EPC paging, and any plan-armed blob
     // tampering rides the resulting eviction-triggered EWB/ELDU cycles.
@@ -292,6 +311,14 @@ fn run_schedule(
     };
     if let Some(b) = launched.runtime.epc_budget() {
         client_plan.note_epc_tampers(b.stats().tampers);
+    }
+    if engine() == Engine::Interp {
+        assert_eq!(launched.runtime.engine(), Engine::Interp, "seed {seed}: engine was reset");
+        assert_eq!(
+            launched.runtime.exec_stats().trans_retired,
+            0,
+            "seed {seed}: ELIDE_EXEC=interp must not run translated blocks"
+        );
     }
     drop(launched);
     cell.server.set_faults(None);
@@ -392,7 +419,7 @@ fn retry_budget_gives_up_with_the_underlying_error() {
         make_err: || ElideError::Transport("injected wire failure".into()),
     }));
     let mut launched =
-        cell.package.launch(&cell.platform, transport, new_sealed_store(), 7).unwrap();
+        with_engine(cell.package.launch(&cell.platform, transport, new_sealed_store(), 7).unwrap());
     let policy = RetryPolicy {
         retries: 3,
         initial_delay: Duration::from_millis(1),
@@ -420,7 +447,7 @@ fn authentication_failure_is_not_retried() {
         make_err: || ElideError::Server(ServerError::AttestationFailed),
     }));
     let mut launched =
-        cell.package.launch(&cell.platform, transport, new_sealed_store(), 8).unwrap();
+        with_engine(cell.package.launch(&cell.platform, transport, new_sealed_store(), 8).unwrap());
     let policy = RetryPolicy {
         retries: 5,
         initial_delay: Duration::from_millis(1),
@@ -444,8 +471,9 @@ fn store_io_faults_surface_as_internal_and_recover() {
     )));
     let transport: Arc<Mutex<dyn Transport + Send>> =
         Arc::new(Mutex::new(InProcessTransport::new(Arc::clone(&cell.server))));
-    let mut launched =
-        cell.package.launch(&cell.platform, transport, new_sealed_store(), 11).unwrap();
+    let mut launched = with_engine(
+        cell.package.launch(&cell.platform, transport, new_sealed_store(), 11).unwrap(),
+    );
     let policy = RetryPolicy {
         retries: 2,
         initial_delay: Duration::from_millis(1),
@@ -536,10 +564,11 @@ fn epc_eviction_chaos_fails_closed_under_oversubscription() {
             FaultPlan::new(seed ^ 0xEBB, FaultConfig { epc_tamper_ppm: ppm, ..FaultConfig::off() });
         let transport: Arc<Mutex<dyn Transport + Send>> =
             Arc::new(Mutex::new(InProcessTransport::new(Arc::clone(&cell.server))));
-        let mut launched = cell
-            .package
-            .launch(&cell.platform, transport, new_sealed_store(), seed ^ 0x5EED)
-            .expect("launch is fault-free");
+        let mut launched = with_engine(
+            cell.package
+                .launch(&cell.platform, transport, new_sealed_store(), seed ^ 0x5EED)
+                .expect("launch is fault-free"),
+        );
         let total_pages = launched.runtime.enclave().resident_reg_pages();
         let mut epc_rng = SeededRandom::new(seed ^ 0xB0D6);
         let mut epc = EpcBudget::new((total_pages / 4).max(1), &mut epc_rng);
@@ -679,10 +708,11 @@ fn bulk_intrinsic_chaos_pages_in_transparently_under_epc_pressure() {
             FaultPlan::new(seed ^ 0xEBB, FaultConfig { epc_tamper_ppm: ppm, ..FaultConfig::off() });
         let transport: Arc<Mutex<dyn Transport + Send>> =
             Arc::new(Mutex::new(InProcessTransport::new(Arc::clone(&cell.server))));
-        let mut launched = cell
-            .package
-            .launch(&cell.platform, transport, new_sealed_store(), seed ^ 0x5EED)
-            .expect("launch is fault-free");
+        let mut launched = with_engine(
+            cell.package
+                .launch(&cell.platform, transport, new_sealed_store(), seed ^ 0x5EED)
+                .expect("launch is fault-free"),
+        );
         let total_pages = launched.runtime.enclave().resident_reg_pages();
         let mut epc_rng = SeededRandom::new(seed ^ 0xB0D6);
         let mut epc = EpcBudget::new((total_pages / 4).max(1), &mut epc_rng);
@@ -915,10 +945,11 @@ impl DelegationHost {
     /// One origin handshake stands the delegate up (anchor enclave for
     /// in-enclave report verification + the signed bundle).
     fn stand_up_delegate(&self, host_seed: u64) -> Arc<DelegateServer> {
-        let anchor = self
-            .package()
-            .launch(&self.platform, self.origin_transport(), new_sealed_store(), host_seed)
-            .unwrap();
+        let anchor = with_engine(
+            self.package()
+                .launch(&self.platform, self.origin_transport(), new_sealed_store(), host_seed)
+                .unwrap(),
+        );
         let anchor = Arc::new(Mutex::new(anchor));
         let mut client = ProvisionClient::new().with_rng(Box::new(SeededRandom::new(host_seed)));
         let mut transport = InProcessTransport::new(Arc::clone(&self.server));
@@ -954,22 +985,15 @@ impl DelegationHost {
         delegate: &Arc<DelegateServer>,
         seed: u64,
         wrap: impl FnOnce(Box<dyn Transport + Send>) -> Box<dyn Transport + Send>,
-    ) -> sgxelide::core::api::LaunchedApp {
+    ) -> LaunchedApp {
         let package = self.package();
         let plan = package.image_plan().unwrap();
         let peer: Arc<Mutex<dyn Transport + Send>> =
-            Arc::new(Mutex::new(BoxedTransport(wrap(Box::new(delegate.connect())))));
+            Arc::new(Mutex::new(wrap(Box::new(delegate.connect()))));
         let route = RestoreRoute { origin: self.origin_transport(), delegate: Some(peer) };
-        package.launch_routed(&plan, &self.platform, route, new_sealed_store(), seed).unwrap()
-    }
-}
-
-/// Adapter so `Box<dyn Transport + Send>` itself satisfies [`Transport`].
-struct BoxedTransport(Box<dyn Transport + Send>);
-
-impl Transport for BoxedTransport {
-    fn request(&mut self, req: u8, payload: &[u8]) -> Result<Vec<u8>, ElideError> {
-        self.0.request(req, payload)
+        with_engine(
+            package.launch_routed(&plan, &self.platform, route, new_sealed_store(), seed).unwrap(),
+        )
     }
 }
 

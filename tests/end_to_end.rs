@@ -2,10 +2,10 @@
 //! load → attest → restore → run, over in-process and real TCP transports,
 //! in whitelist and blacklist modes, with remote and local data.
 
-use sgxelide::core::api::{protect, Mode, Platform};
+use sgxelide::core::api::{protect, LaunchedApp, Mode, Platform};
 use sgxelide::core::elide_asm::{restore_status, ELIDE_ASM};
 use sgxelide::core::protocol::{InProcessTransport, TcpTransport};
-use sgxelide::core::restore::new_sealed_store;
+use sgxelide::core::restore::{new_sealed_store, RestoreRoute};
 use sgxelide::core::sanitizer::DataPlacement;
 use sgxelide::core::service::{serve, ServiceConfig};
 use sgxelide::core::transport::tcp::TcpAcceptor;
@@ -189,19 +189,19 @@ fn tampered_local_data_rejected() {
     let loaded =
         sgxelide::enclave::loader::load_enclave(&platform.cpu, &package.image, &package.sigstruct)
             .unwrap();
-    let mut rt = sgxelide::enclave::runtime::EnclaveRuntime::with_rng(
+    let rt = sgxelide::enclave::runtime::EnclaveRuntime::with_rng(
         loaded,
         Box::new(SeededRandom::new(8)),
     );
-    sgxelide::core::restore::install_elide_ocalls(
-        &mut rt,
-        transport,
+    let mut app = LaunchedApp::attach(
+        rt,
+        RestoreRoute::origin_only(transport),
         Arc::clone(&platform.qe),
         tampered,
     );
-    let err = sgxelide::core::restore::elide_restore(&mut rt, ELIDE_RESTORE).unwrap_err();
+    let err = app.restore(ELIDE_RESTORE).unwrap_err();
     assert_eq!(err, ElideError::RestoreFailed { status: restore_status::DATA_AUTH_FAILED });
-    assert!(rt.ecall(GET_ANSWER, &[], 0).is_err(), "no partial restore on tamper");
+    assert!(app.runtime.ecall(GET_ANSWER, &[], 0).is_err(), "no partial restore on tamper");
 }
 
 #[test]

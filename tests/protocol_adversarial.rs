@@ -7,10 +7,10 @@
 //! framing/session code, so the security argument must hold identically.
 
 use sgxelide::apps::crackme;
-use sgxelide::core::api::{protect, Mode, Platform};
+use sgxelide::core::api::{protect, LaunchedApp, Mode, Platform};
 use sgxelide::core::elide_asm::{request, restore_status, ELIDE_ASM};
 use sgxelide::core::protocol::{InProcessTransport, TcpTransport, Transport};
-use sgxelide::core::restore::{elide_restore, install_elide_ocalls, new_sealed_store, ElideFiles};
+use sgxelide::core::restore::{new_sealed_store, ElideFiles, RestoreRoute};
 use sgxelide::core::sanitizer::DataPlacement;
 use sgxelide::core::server::AuthServer;
 use sgxelide::core::service::{serve, ServiceConfig};
@@ -267,18 +267,18 @@ fn garbage_sealed_blob_falls_back_to_server() {
     let loaded =
         sgxelide::enclave::loader::load_enclave(&platform.cpu, &package.image, &package.sigstruct)
             .unwrap();
-    let mut rt = sgxelide::enclave::runtime::EnclaveRuntime::with_rng(
+    let rt = sgxelide::enclave::runtime::EnclaveRuntime::with_rng(
         loaded,
         Box::new(SeededRandom::new(1)),
     );
     let sealed = Arc::new(Mutex::new(Some(vec![0xABu8; 333])));
-    install_elide_ocalls(
-        &mut rt,
-        transport,
+    let mut app = LaunchedApp::attach(
+        rt,
+        RestoreRoute::origin_only(transport),
         Arc::clone(&platform.qe),
         ElideFiles { data_file: None, sealed: Arc::clone(&sealed) },
     );
-    elide_restore(&mut rt, 1).unwrap();
-    assert_eq!(rt.ecall(0, &[], 0).unwrap().status, 9);
+    app.restore(1).unwrap();
+    assert_eq!(app.runtime.ecall(0, &[], 0).unwrap().status, 9);
     assert!(server.handshakes() >= 1, "server path must have been used");
 }
