@@ -2,14 +2,13 @@
 //! frames, AES-GCM channel encryption after the attested handshake.
 //!
 //! This module is the *client* half plus the shared message crypto; the
-//! server half lives in [`crate::session`] (state machine) and
-//! [`crate::service`] (connection loop). Both client transports — TCP and
-//! in-process — speak through the same [`crate::transport::Framed`] codec
-//! to the same [`crate::service::serve_connection`] loop.
+//! server half is [`crate::session::Session::handle`], which answers every
+//! request. [`TcpTransport`] reaches it through the [`crate::service`]
+//! shard loop over real frames; [`InProcessTransport`] calls it directly.
 
 use crate::error::{ElideError, ServerError};
 use crate::server::AuthServer;
-use crate::transport::channel::pipe;
+use crate::session::Session;
 use crate::transport::{BoxedWire, Framed, Limits};
 use elide_crypto::gcm::AesGcm;
 use elide_crypto::rng::RandomSource;
@@ -112,7 +111,7 @@ pub(crate) fn status_to_server_error(status: u8) -> ServerError {
 }
 
 /// The one client-side request loop: a [`Framed`] codec over any wire.
-/// Both [`TcpTransport`] and [`InProcessTransport`] deref to this.
+/// [`TcpTransport`] wraps it; a test can run it over any [`BoxedWire`].
 #[derive(Debug)]
 pub struct FramedTransport {
     framed: Framed<BoxedWire>,
@@ -208,39 +207,29 @@ impl Transport for TcpTransport {
     }
 }
 
-/// In-process transport: a private pipe to a dedicated serving thread
-/// running the same [`crate::service::serve_connection`] loop as the TCP
-/// service. Fast path for tests and single-process demos — on the
-/// identical wire/session code path as the network.
+/// In-process transport: a private [`Session`] on `server`, answered by
+/// calling [`Session::handle`] directly — no pipe, no thread. Errors take
+/// the same status-byte round trip as on the wire, so an in-process client
+/// sees exactly the [`ServerError`] a TCP client sees.
 #[derive(Debug)]
 pub struct InProcessTransport {
-    inner: FramedTransport,
+    server: Arc<AuthServer>,
+    session: Session,
 }
 
 impl InProcessTransport {
-    /// Connects a fresh in-process session to `server` (default limits).
+    /// Opens a fresh in-process session to `server`.
     pub fn new(server: Arc<AuthServer>) -> Self {
-        Self::with_limits(server, Limits::default())
-    }
-
-    /// Connects with explicit wire limits (both directions).
-    pub fn with_limits(server: Arc<AuthServer>, limits: Limits) -> Self {
-        let (client, server_end) = pipe();
-        std::thread::spawn(move || {
-            // The thread exits when the client end drops (clean EOF).
-            if let Ok(mut framed) = Framed::new(server_end, limits) {
-                let _ = crate::service::serve_connection(&server, &mut framed);
-            }
-        });
-        let inner =
-            FramedTransport::new(Box::new(client), limits).expect("pipe limits are infallible");
-        InProcessTransport { inner }
+        let session = server.new_session();
+        InProcessTransport { server, session }
     }
 }
 
 impl Transport for InProcessTransport {
     fn request(&mut self, req: u8, payload: &[u8]) -> Result<Vec<u8>, ElideError> {
-        self.inner.request(req, payload)
+        self.session
+            .handle(&self.server, req, payload)
+            .map_err(|e| ElideError::Server(status_to_server_error(server_error_to_status(&e))))
     }
 }
 
@@ -338,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn in_process_transport_speaks_the_wire_protocol() {
+    fn in_process_transport_reports_wire_errors() {
         let meta = SecretMeta {
             flags: 0,
             data_len: 4,
@@ -358,13 +347,10 @@ mod tests {
             .with_rng(Box::new(SeededRandom::new(1))),
         );
         let mut t = InProcessTransport::new(Arc::clone(&server));
-        // Pre-handshake META is NoSession — served through real frames.
-        assert!(matches!(t.request(1, &[]), Err(ElideError::Server(ServerError::NoSession))));
+        assert_eq!(t.request(1, &[]), Err(ElideError::Server(ServerError::NoSession)));
         // The wire carries only the status code, so the offending request
-        // byte is not recoverable client-side.
-        assert!(matches!(
-            t.request(9, &[]),
-            Err(ElideError::Server(ServerError::UnknownRequest(_)))
-        ));
+        // byte is not recoverable client-side: TCP clients see status 6 as
+        // UnknownRequest(6), and so do in-process ones.
+        assert_eq!(t.request(9, &[]), Err(ElideError::Server(ServerError::UnknownRequest(6))));
     }
 }

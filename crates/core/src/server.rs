@@ -205,33 +205,6 @@ impl AuthServer {
         self.store.lookup(&quote.mrenclave, &quote.mrsigner).ok_or(ServerError::WrongEnclave)
     }
 
-    /// Authenticates a batch of quotes that became ready in one shard
-    /// tick: all signature checks first, then one [`SecretStore`] batch
-    /// lookup for the quotes that verified. Order is preserved.
-    pub(crate) fn authenticate_batch(
-        &self,
-        quotes: &[Quote],
-    ) -> Vec<Result<Arc<SecretEntry>, ServerError>> {
-        let verified: Vec<bool> = quotes.iter().map(|q| self.ias.verify_quote(q).is_ok()).collect();
-        let keys: Vec<([u8; 32], [u8; 32])> = quotes
-            .iter()
-            .zip(&verified)
-            .filter(|(_, ok)| **ok)
-            .map(|(q, _)| (q.mrenclave, q.mrsigner))
-            .collect();
-        let mut entries = self.store.lookup_batch(&keys).into_iter();
-        quotes
-            .iter()
-            .zip(&verified)
-            .map(|(_, ok)| {
-                if !*ok {
-                    return Err(ServerError::AttestationFailed);
-                }
-                entries.next().flatten().ok_or(ServerError::WrongEnclave)
-            })
-            .collect()
-    }
-
     /// Issues a sealed resumption ticket for an established session,
     /// returning `(ticket_id, sealed_blob)`. The id is drawn from the
     /// session's RNG so ticket issue never contends on the master RNG.

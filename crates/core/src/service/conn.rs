@@ -1,46 +1,32 @@
 //! One connection inside a shard event loop: nonblocking wire, frame
-//! reassembly, the protocol [`Session`], buffered responses, and the two
-//! deadlines the shard's timer wheel watches.
-//!
-//! The explicit state machine replaces what the blocking
-//! [`serve_connection`](super::serve_connection) loop kept implicit in
-//! its call stack:
+//! reassembly, the protocol [`Session`], buffered responses, and the
+//! read/write deadlines the shard checks on every tick.
 //!
 //! ```text
-//!          +--------- frame -----------+
-//!          v                           |
-//!   [Reading] --HANDSHAKE/RESUME--> [AuthPending] --batch auth--+
-//!       |  ^                                                    |
-//!       |  +------------- response queued <--------------------+
+//!   [Reading] --frame--> Session::handle --> response queued
+//!       ^                                          |
+//!       +------------------------------------------+
 //!       |
 //!       +-- EOF --> [Draining] -- out buffer empty --> [Closed]
 //!       +-- wire error / deadline / oversize ---------> [Closed]
 //! ```
 //!
-//! While a handshake or resume is staged (`AuthPending`) the connection
-//! stops parsing further frames — requests behind an in-flight handshake
-//! wait exactly as they did behind the blocking loop, so pipelining
-//! cannot reorder a session's establishment.
+//! Every request frame — HANDSHAKE and RESUME included — is answered in
+//! line as soon as it is parsed, so a session's responses leave in request
+//! order and a request pipelined behind a handshake sees the session that
+//! handshake established.
 
 use crate::error::ServerError;
 use crate::protocol::{server_error_to_status, STATUS_OK};
 use crate::server::AuthServer;
 use crate::session::Session;
 use crate::transport::{BoxedWire, Deadline, FrameAssembler, FrameProgress, Limits, WriteBuffer};
-use sgx_sim::quote::Quote;
-
-/// An authentication step staged for the shard's end-of-tick batch.
-pub(super) enum PendingAuth {
-    /// Parsed handshake: quote to verify + client DH public value.
-    Handshake { quote: Quote, client_pub: Vec<u8> },
-    /// Presented resumption-ticket blob.
-    Resume { blob: Vec<u8> },
-}
+use std::time::Instant;
 
 /// What a pump step concluded about the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Pump {
-    /// Made progress (bytes read, frames dispatched, or bytes flushed).
+    /// Made progress (frames answered or bytes flushed).
     Progress,
     /// Nothing to do until the wire becomes ready.
     Idle,
@@ -54,15 +40,12 @@ pub(super) struct Conn {
     assembler: FrameAssembler,
     out: WriteBuffer,
     session: Session,
-    /// Staged handshake/resume awaiting the shard's auth batch.
-    pending_auth: Option<PendingAuth>,
     /// Reset whenever the assembler consumes bytes; expiry closes the
-    /// connection, preserving the blocking loop's read-timeout semantics.
+    /// connection, so a peer that stops sending mid-frame or goes idle
+    /// is dropped.
     read_deadline: Deadline,
     /// Armed while responses sit unflushed; expiry closes the connection.
     write_deadline: Deadline,
-    /// Whether a wheel entry currently tracks the write deadline.
-    pub(super) write_timer_armed: bool,
     consumed_mark: u64,
     /// Peer closed cleanly; drain the out buffer, then close.
     draining: bool,
@@ -90,159 +73,88 @@ impl Conn {
             assembler: FrameAssembler::new(&limits),
             out: WriteBuffer::new(),
             session: server.new_session(),
-            pending_auth: None,
             read_deadline: limits.read_deadline(),
             write_deadline: Deadline::unbounded(),
-            write_timer_armed: false,
             consumed_mark: 0,
             draining: false,
             dead: false,
         })
     }
 
-    pub(super) fn read_deadline(&self) -> Deadline {
-        self.read_deadline
-    }
-
-    pub(super) fn write_deadline(&self) -> Deadline {
-        self.write_deadline
-    }
-
-    pub(super) fn has_pending_auth(&self) -> bool {
-        self.pending_auth.is_some()
-    }
-
-    pub(super) fn take_pending_auth(&mut self) -> Option<PendingAuth> {
-        self.pending_auth.take()
-    }
-
-    pub(super) fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    pub(super) fn out_empty(&self) -> bool {
-        self.out.is_empty()
-    }
-
-    /// Reads and dispatches every frame the wire has ready, stopping at
-    /// `WouldBlock`, a staged auth, EOF, or a fatal error.
-    pub(super) fn pump_reads(&mut self, server: &AuthServer) -> Pump {
-        if self.dead {
-            return Pump::Close;
-        }
-        let mut progress = false;
-        while !self.draining && self.pending_auth.is_none() {
-            match self.assembler.poll(&mut self.wire) {
-                Ok(FrameProgress::Frame(tag, payload)) => {
-                    progress = true;
-                    self.dispatch(server, tag, &payload);
-                    if self.dead {
-                        return Pump::Close;
-                    }
-                }
-                Ok(FrameProgress::Pending) => break,
-                Ok(FrameProgress::Closed) => {
-                    // Clean EOF: whatever responses are still buffered get
-                    // flushed before the connection is reaped.
-                    self.draining = true;
-                }
-                // Oversized frames, truncation, injected stalls: the
-                // blocking loop dropped the connection with the error, and
-                // so does the event loop — without a response.
-                Err(_) => {
-                    self.dead = true;
-                    return Pump::Close;
-                }
-            }
-        }
-        if self.assembler.consumed() > self.consumed_mark {
-            self.consumed_mark = self.assembler.consumed();
-            self.read_deadline = self.limits.read_deadline();
-        }
-        if self.draining && self.out.is_empty() {
-            return Pump::Close;
-        }
-        if progress {
+    /// One visit from the shard: answers every frame the wire has ready,
+    /// flushes as much output as the wire takes, then closes the
+    /// connection if it is finished or a deadline passed before `now`.
+    pub(super) fn pump(&mut self, server: &AuthServer, now: Instant) -> Pump {
+        let read = self.read_frames(server);
+        let wrote = !self.dead && self.flush();
+        if self.dead
+            || (self.draining && self.out.is_empty())
+            || self.read_deadline.expired_at(now)
+            || self.write_deadline.expired_at(now)
+        {
+            Pump::Close
+        } else if read || wrote {
             Pump::Progress
         } else {
             Pump::Idle
         }
     }
 
-    /// Routes one request frame. Handshakes and resumes are staged for
-    /// the shard's end-of-tick auth batch; everything else is answered
-    /// synchronously through the session.
-    fn dispatch(&mut self, server: &AuthServer, tag: u8, payload: &[u8]) {
-        use crate::elide_asm::request;
-        match tag as u64 {
-            request::HANDSHAKE => match Session::parse_handshake(payload) {
-                Ok((quote, client_pub)) => {
-                    self.pending_auth = Some(PendingAuth::Handshake { quote, client_pub });
+    /// Reads and answers every frame the wire has ready, stopping at
+    /// `WouldBlock`, EOF, or a fatal error. Returns whether any frame
+    /// arrived.
+    fn read_frames(&mut self, server: &AuthServer) -> bool {
+        let mut progress = false;
+        while !self.draining && !self.dead {
+            match self.assembler.poll(&mut self.wire) {
+                Ok(FrameProgress::Frame(tag, payload)) => {
+                    progress = true;
+                    let result = self.session.handle(server, tag, &payload);
+                    self.respond(result);
                 }
-                Err(e) => self.respond(Err(e)),
-            },
-            request::RESUME if !self.session.is_established() => {
-                self.pending_auth = Some(PendingAuth::Resume { blob: payload.to_vec() });
-            }
-            _ => {
-                let result = self.session.handle(server, tag, payload);
-                self.respond(result);
+                Ok(FrameProgress::Pending) => break,
+                // Clean EOF: whatever responses are still buffered get
+                // flushed before the connection is reaped.
+                Ok(FrameProgress::Closed) => self.draining = true,
+                // Oversized frames, truncation, injected stalls: drop the
+                // connection without a response.
+                Err(_) => self.dead = true,
             }
         }
+        if self.assembler.consumed() > self.consumed_mark {
+            self.consumed_mark = self.assembler.consumed();
+            self.read_deadline = self.limits.read_deadline();
+        }
+        progress
     }
 
     /// Queues a response frame (status + body). A response the limits
-    /// cannot encode kills the connection, as the blocking send did.
-    pub(super) fn respond(&mut self, result: Result<Vec<u8>, ServerError>) {
+    /// cannot encode kills the connection.
+    fn respond(&mut self, result: Result<Vec<u8>, ServerError>) {
         let pushed = match result {
             Ok(body) => self.out.push_frame(STATUS_OK, &body, &self.limits),
             Err(e) => self.out.push_frame(server_error_to_status(&e), &[], &self.limits),
         };
         if pushed.is_err() {
             self.dead = true;
-        } else if !self.out.is_empty() && self.write_deadline.instant().is_none() {
+        } else if self.write_deadline.instant().is_none() {
             self.write_deadline = self.limits.write_deadline();
         }
     }
 
-    /// Flushes buffered responses as far as the wire allows.
-    pub(super) fn pump_writes(&mut self) -> Pump {
-        if self.dead {
-            return Pump::Close;
-        }
-        if self.out.is_empty() {
-            self.write_deadline = Deadline::unbounded();
-            return if self.draining { Pump::Close } else { Pump::Idle };
-        }
+    /// Flushes buffered responses as far as the wire allows. Returns
+    /// whether any bytes drained — a stuck peer must not make the shard
+    /// busy-spin.
+    fn flush(&mut self) -> bool {
         let before = self.out.len();
-        match self.out.flush(&mut self.wire) {
-            Ok(true) => {
-                self.write_deadline = Deadline::unbounded();
-                if self.draining {
-                    Pump::Close
-                } else {
-                    Pump::Progress
-                }
-            }
-            // Blocked: report progress only if some bytes drained, so a
-            // stuck peer doesn't make the shard busy-spin.
-            Ok(false) if self.out.len() < before => Pump::Progress,
-            Ok(false) => Pump::Idle,
-            Err(_) => {
-                self.dead = true;
-                Pump::Close
-            }
+        if before == 0 {
+            return false;
         }
-    }
-}
-
-impl std::fmt::Debug for Conn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Conn")
-            .field("peer", &self.wire.peer())
-            .field("session", &self.session)
-            .field("auth_pending", &self.pending_auth.is_some())
-            .field("out_bytes", &self.out.len())
-            .finish_non_exhaustive()
+        match self.out.flush(&mut self.wire) {
+            Ok(true) => self.write_deadline = Deadline::unbounded(),
+            Ok(false) => {}
+            Err(_) => self.dead = true,
+        }
+        self.out.len() < before
     }
 }

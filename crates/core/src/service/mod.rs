@@ -3,30 +3,23 @@
 //!
 //! The accept thread distributes connections round-robin over `workers`
 //! shard event loops ([`shard`]). Each shard owns its connections
-//! outright — nonblocking wires, per-connection frame reassembly and
-//! protocol state machines ([`conn`]), a timer wheel for the read/write
-//! deadlines ([`timer`]), and an end-of-tick batch that runs every staged
-//! handshake's quote verification and secret-store lookup together. A
-//! shard therefore serves thousands of mostly-idle connections from one
-//! thread, where the old bounded worker pool held one blocked thread per
-//! in-flight connection.
-//!
-//! [`serve_connection`] — the blocking single-connection loop — remains
-//! for the in-process transport and as the simplest reference
-//! implementation of the server side of the protocol.
+//! outright — nonblocking wires, per-connection frame reassembly and a
+//! protocol [`Session`](crate::session::Session) each ([`conn`]) — and
+//! answers every request frame in line through
+//! [`Session::handle`](crate::session::Session::handle), the one server
+//! path for every verb. Once per tick it reads the clock and drops the
+//! connections whose read or write deadline passed. A shard therefore
+//! serves thousands of mostly-idle connections from one thread.
 
 mod conn;
 pub mod pool;
 mod shard;
-mod timer;
 
 pub use pool::{EnclavePool, PoolConfig, PoolStats};
 
 use crate::faults::FaultPlan;
-use crate::protocol::{server_error_to_status, STATUS_OK};
 use crate::server::AuthServer;
-use crate::transport::{BoxedWire, Framed, Limits, Listener};
-use std::io;
+use crate::transport::{BoxedWire, Limits, Listener};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -235,34 +228,6 @@ pub fn serve<L: Listener + 'static>(
     ServiceHandle { closer, accept: Some(accept), workers: shard_threads, desc }
 }
 
-/// Serves one connection: frames in, session state machine, frames out.
-/// Returns when the peer disconnects cleanly; wire abuse (oversized
-/// declared lengths, truncated frames, read timeouts) drops the
-/// connection with the error.
-///
-/// This blocking loop and the shard event loop share the session state
-/// machine, so there is exactly one handshake path; the in-process
-/// transport and the doctests use this entry point directly.
-///
-/// # Errors
-///
-/// Propagates wire-level I/O errors (the connection is dead either way).
-pub fn serve_connection<W: crate::transport::Wire>(
-    server: &AuthServer,
-    framed: &mut Framed<W>,
-) -> io::Result<()> {
-    let mut session = server.new_session();
-    loop {
-        match framed.recv()? {
-            Some((req, payload)) => match session.handle(server, req, &payload) {
-                Ok(body) => framed.send(STATUS_OK, &body)?,
-                Err(e) => framed.send(server_error_to_status(&e), &[])?,
-            },
-            None => return Ok(()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +235,7 @@ mod tests {
     use crate::server::ExpectedIdentity;
     use crate::transport::channel::channel_listener;
     use crate::transport::tcp::TcpAcceptor;
+    use crate::transport::Framed;
     use elide_crypto::rng::SeededRandom;
     use sgx_sim::quote::AttestationService;
 
@@ -426,6 +392,103 @@ mod tests {
         framed.send(1, &[0u8; 1000]).unwrap();
         // Server drops the connection without a response.
         assert_eq!(framed.recv().unwrap(), None);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn stuck_writer_is_dropped_at_its_write_deadline() {
+        use crate::transport::channel::ChannelListener;
+        use crate::transport::Wire;
+        use std::io::{self, Read, Write};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+
+        /// A peer that sends one request and then neither sends nor reads:
+        /// every write would block. Flags its own drop.
+        struct StuckWire {
+            request: Vec<u8>,
+            dropped: Arc<AtomicBool>,
+        }
+        impl Read for StuckWire {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.request.is_empty() {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let n = buf.len().min(self.request.len());
+                buf[..n].copy_from_slice(&self.request[..n]);
+                self.request.drain(..n);
+                Ok(n)
+            }
+        }
+        impl Write for StuckWire {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::WouldBlock.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl Wire for StuckWire {
+            fn apply_limits(&mut self, _: &Limits) -> io::Result<()> {
+                Ok(())
+            }
+            fn peer(&self) -> String {
+                "stuck".into()
+            }
+            fn set_nonblocking(&mut self, _: bool) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl Drop for StuckWire {
+            fn drop(&mut self) {
+                self.dropped.store(true, Ordering::SeqCst);
+            }
+        }
+
+        /// Yields the stuck wire first, then channel connections.
+        struct StuckFirst {
+            stuck: Option<BoxedWire>,
+            inner: ChannelListener,
+        }
+        impl Listener for StuckFirst {
+            fn accept(&mut self) -> Option<BoxedWire> {
+                self.stuck.take().or_else(|| self.inner.accept())
+            }
+            fn local_desc(&self) -> String {
+                self.inner.local_desc()
+            }
+            fn closer(&self) -> Box<dyn Fn() + Send + Sync> {
+                self.inner.closer()
+            }
+        }
+
+        let dropped = Arc::new(AtomicBool::new(false));
+        // One unknown-request frame: the shard queues a response the
+        // peer never reads.
+        let stuck = StuckWire { request: vec![9, 0, 0, 0, 0], dropped: Arc::clone(&dropped) };
+        let (inner, host) = channel_listener();
+        let listener = StuckFirst { stuck: Some(Box::new(stuck)), inner };
+        let limits =
+            Limits { write_timeout: Some(Duration::from_millis(200)), ..Limits::default() };
+        let start = Instant::now();
+        let handle = serve(
+            listener,
+            test_server(),
+            ServiceConfig::default().with_workers(1).with_limits(limits),
+        );
+        while !dropped.load(Ordering::SeqCst) {
+            assert!(start.elapsed() < Duration::from_secs(2), "stuck writer outlived 2 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(start.elapsed() >= Duration::from_millis(200), "dropped before its deadline");
+
+        // The same (only) shard still serves the next connection.
+        let wire = host.connect().unwrap();
+        let mut framed = Framed::new(wire, Limits::default()).unwrap();
+        framed.send(9, &[]).unwrap();
+        let (status, _) = framed.recv().unwrap().expect("shard still serving");
+        assert_eq!(status, 6, "UnknownRequest status");
+        drop(framed);
         handle.shutdown();
     }
 

@@ -1,29 +1,22 @@
 //! One shard of the provisioning event loop.
 //!
 //! A shard owns a set of nonblocking connections and drives them all from
-//! a single thread: admit from the accept thread's injector, pump reads,
-//! run the end-of-tick authentication batch, flush writes, expire timers,
-//! reap. Nothing in a shard blocks on a peer — the only blocking wait is
-//! the injector receive when the shard has no connections at all.
+//! a single thread. Each tick admits new connections from the accept
+//! thread's injector, reads the clock once, and makes one pass over every
+//! connection: answer the frames that are ready, flush responses, and drop
+//! the connection if it finished or its read or write deadline passed.
+//! Nothing in a shard blocks on a peer — the only blocking wait is the
+//! injector receive when the shard has no connections at all.
 
-use super::conn::{Conn, PendingAuth, Pump};
-use super::timer::{TimerKind, TimerWheel};
-use crate::error::ServerError;
+use super::conn::{Conn, Pump};
 use crate::faults::FaultPlan;
 use crate::server::AuthServer;
-use crate::ticket::TicketPlain;
 use crate::transport::{BoxedWire, Limits};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Wheel tick: deadlines are observed within ~this much slack.
-const WHEEL_GRANULARITY: Duration = Duration::from_millis(10);
-/// Wheel slots; horizon = (slots - 1) × granularity ≈ 2.5 s. Longer
-/// deadlines clamp and re-arm on fire.
-const WHEEL_SLOTS: usize = 256;
 /// How long an empty shard parks on its injector per iteration.
 const IDLE_ACCEPT_WAIT: Duration = Duration::from_millis(10);
 /// Sleep when connections exist but none made progress this tick.
@@ -35,9 +28,7 @@ pub(super) fn shard_loop(
     limits: Limits,
     faults: Option<FaultPlan>,
 ) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = 0;
-    let mut wheel = TimerWheel::new(WHEEL_GRANULARITY, WHEEL_SLOTS, Instant::now());
+    let mut conns: Vec<Conn> = Vec::new();
     let mut injector_open = true;
 
     loop {
@@ -45,18 +36,14 @@ pub(super) fn shard_loop(
         if injector_open && conns.is_empty() {
             // Nothing to poll: park on the injector instead of spinning.
             match rx.recv_timeout(IDLE_ACCEPT_WAIT) {
-                Ok(wire) => {
-                    admit(wire, &mut conns, &mut next_id, &mut wheel, &server, limits, &faults);
-                }
+                Ok(wire) => admit(wire, &mut conns, &server, limits, &faults),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => injector_open = false,
             }
         }
         while injector_open {
             match rx.try_recv() {
-                Ok(wire) => {
-                    admit(wire, &mut conns, &mut next_id, &mut wheel, &server, limits, &faults);
-                }
+                Ok(wire) => admit(wire, &mut conns, &server, limits, &faults),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => injector_open = false,
             }
@@ -65,72 +52,22 @@ pub(super) fn shard_loop(
             return;
         }
 
+        // --- one pass: read, answer, flush, expire -------------------
+        let now = Instant::now();
         let mut progress = false;
-        let mut reap: Vec<u64> = Vec::new();
-
-        // --- pump reads ----------------------------------------------
-        for (&id, conn) in conns.iter_mut() {
+        conns.retain_mut(|conn| {
             // One connection's panic (poisoned session state, injected
             // faults) must not take down the shard and every other
             // connection on it.
-            match catch_unwind(AssertUnwindSafe(|| conn.pump_reads(&server))) {
-                Ok(Pump::Progress) => progress = true,
-                Ok(Pump::Idle) => {}
-                Ok(Pump::Close) | Err(_) => reap.push(id),
-            }
-        }
-
-        // --- end-of-tick auth batch ----------------------------------
-        progress |= run_auth_batch(&mut conns, &reap, &server);
-
-        // --- flush writes --------------------------------------------
-        for (&id, conn) in conns.iter_mut() {
-            if reap.contains(&id) {
-                continue;
-            }
-            match catch_unwind(AssertUnwindSafe(|| conn.pump_writes())) {
-                Ok(Pump::Progress) => progress = true,
-                Ok(Pump::Idle) => {}
-                Ok(Pump::Close) | Err(_) => reap.push(id),
-            }
-            // Arm a write timer for responses that could not drain.
-            if !reap.contains(&id) && !conn.out_empty() && !conn.write_timer_armed {
-                if let Some(at) = conn.write_deadline().instant() {
-                    wheel.schedule(id, TimerKind::Write, at);
-                    conn.write_timer_armed = true;
+            match catch_unwind(AssertUnwindSafe(|| conn.pump(&server, now))) {
+                Ok(Pump::Progress) => {
+                    progress = true;
+                    true
                 }
+                Ok(Pump::Idle) => true,
+                Ok(Pump::Close) | Err(_) => false,
             }
-        }
-
-        // --- timers --------------------------------------------------
-        for entry in wheel.advance(Instant::now()) {
-            let Some(conn) = conns.get_mut(&entry.conn) else { continue };
-            match entry.kind {
-                TimerKind::Read => {
-                    // Re-check the live deadline: read progress since this
-                    // entry was armed pushed it forward.
-                    if conn.read_deadline().expired() {
-                        reap.push(entry.conn);
-                    } else if let Some(at) = conn.read_deadline().instant() {
-                        wheel.schedule(entry.conn, TimerKind::Read, at);
-                    }
-                }
-                TimerKind::Write => {
-                    if conn.out_empty() {
-                        conn.write_timer_armed = false; // drained; disarm
-                    } else if conn.write_deadline().expired() {
-                        reap.push(entry.conn);
-                    } else if let Some(at) = conn.write_deadline().instant() {
-                        wheel.schedule(entry.conn, TimerKind::Write, at);
-                    }
-                }
-            }
-        }
-
-        // --- reap ----------------------------------------------------
-        for id in reap {
-            conns.remove(&id);
-        }
+        });
 
         if !progress {
             std::thread::sleep(IDLE_TICK_SLEEP);
@@ -138,113 +75,23 @@ pub(super) fn shard_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn admit(
     wire: BoxedWire,
-    conns: &mut HashMap<u64, Conn>,
-    next_id: &mut u64,
-    wheel: &mut TimerWheel,
+    conns: &mut Vec<Conn>,
     server: &AuthServer,
     limits: Limits,
     faults: &Option<FaultPlan>,
 ) {
-    // The worker-panic fault of the old pool maps to admission here: the
-    // "worker" (shard slot) panics before serving, and the connection is
-    // dropped without a response — observable behavior is identical, and
-    // the panic still routes through the (silenceable) panic hook.
+    // The injected worker panic maps to admission: the shard slot panics
+    // before serving, and the connection is dropped without a response.
+    // The panic still routes through the (silenceable) panic hook.
     if let Some(plan) = faults {
         if plan.worker_panic_now() {
             let _ = catch_unwind(|| panic!("injected worker panic"));
             return;
         }
     }
-    let Ok(conn) = Conn::admit(wire, limits, server) else { return };
-    let id = *next_id;
-    *next_id += 1;
-    if let Some(at) = conn.read_deadline().instant() {
-        wheel.schedule(id, TimerKind::Read, at);
+    if let Ok(conn) = Conn::admit(wire, limits, server) {
+        conns.push(conn);
     }
-    conns.insert(id, conn);
-}
-
-/// Runs every staged handshake and resume from this tick as two batches:
-/// quote verifications + one store batch lookup for handshakes, ticket
-/// redemptions + one store batch lookup for resumes. Returns whether any
-/// work was done.
-fn run_auth_batch(conns: &mut HashMap<u64, Conn>, reaped: &[u64], server: &AuthServer) -> bool {
-    let staged: Vec<u64> = conns
-        .iter()
-        .filter(|(id, c)| !reaped.contains(id) && c.has_pending_auth())
-        .map(|(&id, _)| id)
-        .collect();
-    if staged.is_empty() {
-        return false;
-    }
-
-    let mut handshakes: Vec<(u64, sgx_sim::quote::Quote, Vec<u8>)> = Vec::new();
-    let mut resumes: Vec<(u64, Result<TicketPlain, ServerError>)> = Vec::new();
-    for &id in &staged {
-        match conns.get_mut(&id).and_then(Conn::take_pending_auth) {
-            Some(PendingAuth::Handshake { quote, client_pub }) => {
-                handshakes.push((id, quote, client_pub));
-            }
-            Some(PendingAuth::Resume { blob }) => {
-                // Redeem eagerly (burns the single-use id); the store
-                // lookup below is batched with the rest of the tick.
-                resumes.push((id, server.redeem_ticket(&blob)));
-            }
-            None => {}
-        }
-    }
-
-    if !handshakes.is_empty() {
-        let quotes: Vec<_> = handshakes.iter().map(|(_, q, _)| q.clone()).collect();
-        let entries = server.authenticate_batch(&quotes);
-        for ((id, quote, client_pub), entry) in handshakes.into_iter().zip(entries) {
-            let Some(conn) = conns.get_mut(&id) else { continue };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                entry.and_then(|e| {
-                    conn.session_mut().finish_handshake(server, &quote, e, &client_pub)
-                })
-            }));
-            match result {
-                Ok(response) => conn.respond(response),
-                Err(_) => {
-                    conns.remove(&id);
-                }
-            }
-        }
-    }
-
-    if !resumes.is_empty() {
-        let keys: Vec<([u8; 32], [u8; 32])> = resumes
-            .iter()
-            .filter_map(|(_, r)| r.as_ref().ok())
-            .map(|p| (p.mrenclave, p.mrsigner))
-            .collect();
-        let mut entries = server.store().lookup_batch(&keys).into_iter();
-        for (id, redeemed) in resumes {
-            // Consume this ticket's batch slot before any early-outs so
-            // the entry iterator stays aligned with the key order.
-            let entry = if redeemed.is_ok() { entries.next().flatten() } else { None };
-            let Some(conn) = conns.get_mut(&id) else { continue };
-            let result = catch_unwind(AssertUnwindSafe(|| match redeemed {
-                Err(e) => Err(e),
-                Ok(plain) => {
-                    let entry = entry.ok_or(ServerError::TicketRejected)?;
-                    if server.inject_store_fault() {
-                        return Err(ServerError::Internal);
-                    }
-                    conn.session_mut().finish_resume(server, &plain, entry)
-                }
-            }));
-            match result {
-                Ok(response) => conn.respond(response),
-                Err(_) => {
-                    conns.remove(&id);
-                }
-            }
-        }
-    }
-    true
 }

@@ -179,10 +179,8 @@ impl Session {
         self.finish_handshake(server, &quote, entry, &client_pub)
     }
 
-    /// Splits a handshake payload into its quote and DH public value. The
-    /// shard event loop parses eagerly, then defers the expensive quote
-    /// verification to its end-of-tick authentication batch.
-    pub(crate) fn parse_handshake(payload: &[u8]) -> Result<(Quote, Vec<u8>), ServerError> {
+    /// Splits a handshake payload into its quote and DH public value.
+    fn parse_handshake(payload: &[u8]) -> Result<(Quote, Vec<u8>), ServerError> {
         if payload.len() < 4 {
             return Err(ServerError::BadRequest);
         }
@@ -202,7 +200,7 @@ impl Session {
     /// Completes a handshake whose quote has already been authenticated:
     /// checks the report-data binding, runs the DH exchange, and
     /// establishes the channel.
-    pub(crate) fn finish_handshake(
+    fn finish_handshake(
         &mut self,
         server: &AuthServer,
         quote: &Quote,
@@ -236,7 +234,7 @@ impl Session {
     /// zero, and reusing the old key would repeat IVs already spent on the
     /// original session. Returns the sealed `[meta body][data]` restore
     /// payload so resumption completes in this single round trip.
-    pub(crate) fn finish_resume(
+    fn finish_resume(
         &mut self,
         server: &AuthServer,
         plain: &TicketPlain,

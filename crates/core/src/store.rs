@@ -124,14 +124,6 @@ impl SecretStore {
         self.unpinned.iter().find(|e| e.matches(mrenclave, mrsigner)).map(Arc::clone)
     }
 
-    /// Resolves a batch of `(mrenclave, mrsigner)` identities in one pass,
-    /// preserving order. Shard event loops collect the identities that
-    /// became ready during a tick and resolve them together, touching the
-    /// store once per tick instead of once per connection.
-    pub fn lookup_batch(&self, keys: &[([u8; 32], [u8; 32])]) -> Vec<Option<Arc<SecretEntry>>> {
-        keys.iter().map(|(mre, mrs)| self.lookup(mre, mrs)).collect()
-    }
-
     /// Loads every `NAME.secret.meta` in `dir`, pairing it with
     /// `NAME.secret.data` (required unless the meta is local-mode) and an
     /// optional `NAME.mrenclave` hex sidecar that pins the entry.

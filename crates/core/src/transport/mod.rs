@@ -105,7 +105,13 @@ impl Deadline {
 
     /// True once the deadline has passed.
     pub fn expired(&self) -> bool {
-        self.at.is_some_and(|at| Instant::now() >= at)
+        self.expired_at(Instant::now())
+    }
+
+    /// True if the deadline had passed by `now` — lets an event loop
+    /// judge every deadline of a tick against one clock read.
+    pub fn expired_at(&self, now: Instant) -> bool {
+        self.at.is_some_and(|at| now >= at)
     }
 
     /// Time left before expiry (`None` = unbounded; zero once expired).

@@ -9,22 +9,30 @@
 
 use sgxelide::core::api::{protect, Mode, Platform, ProtectedPackage};
 use sgxelide::core::client::ProvisionClient;
-use sgxelide::core::elide_asm::ELIDE_ASM;
+use sgxelide::core::elide_asm::{request, ELIDE_ASM};
 use sgxelide::core::error::ElideError;
 use sgxelide::core::meta::SecretMeta;
-use sgxelide::core::protocol::TcpTransport;
+use sgxelide::core::protocol::{decrypt_msg, TcpTransport};
 use sgxelide::core::restore::new_sealed_store;
 use sgxelide::core::sanitizer::DataPlacement;
 use sgxelide::core::server::{AuthServer, ExpectedIdentity};
 use sgxelide::core::service::{serve, ServiceConfig};
 use sgxelide::core::store::{SecretEntry, SecretStore};
 use sgxelide::core::transport::tcp::TcpAcceptor;
+use sgxelide::core::transport::{Framed, Limits};
+use sgxelide::crypto::dh::DhKeyPair;
 use sgxelide::crypto::rng::SeededRandom;
 use sgxelide::crypto::rsa::RsaKeyPair;
+use sgxelide::crypto::sha2::Sha256;
 use sgxelide::elf::parse::ElfFile;
 use sgxelide::enclave::image::EnclaveImageBuilder;
-use sgxelide::sgx::enclave::AccessKind;
-use sgxelide::sgx::quote::AttestationService;
+use sgxelide::sgx::enclave::{AccessKind, Enclave};
+use sgxelide::sgx::epc::{PagePerms, PageType};
+use sgxelide::sgx::quote::{AttestationService, QE_MEASUREMENT};
+use sgxelide::sgx::report::{ereport, TargetInfo};
+use sgxelide::sgx::sigstruct::SigStruct;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 
 /// Builds an enclave exposing one secret ecall per `(name, ret)` pair.
@@ -148,6 +156,61 @@ fn one_server_provisions_two_enclaves_to_parallel_clients() {
     );
 }
 
+/// One platform and one initialized enclave that protocol-level clients
+/// attest from (no enclave launch per client), plus a server whose store
+/// releases `payload` to that enclave.
+struct AttestingHost {
+    platform: Platform,
+    enclave: Enclave,
+    server: Arc<AuthServer>,
+}
+
+impl AttestingHost {
+    fn new(payload: &[u8]) -> Self {
+        let mut rng = SeededRandom::new(0xD0D0);
+        let mut ias = AttestationService::new();
+        let platform = Platform::provision(&mut rng, &mut ias);
+        let mut enclave = platform.cpu.ecreate(0x100000, 0x1000).unwrap();
+        enclave.eadd(0x100000, &[3; 4096], PagePerms::RX, PageType::Reg).unwrap();
+        for i in 0..16 {
+            enclave.eextend(0x100000 + i * 256).unwrap();
+        }
+        let kp = RsaKeyPair::generate(512, &mut rng);
+        let sig = SigStruct::sign(&kp, enclave.current_measurement().unwrap(), 1, 1).unwrap();
+        enclave.einit(&sig).unwrap();
+
+        let mut store = SecretStore::new();
+        store.insert(SecretEntry {
+            name: "bulk".into(),
+            meta: SecretMeta {
+                flags: 0,
+                data_len: payload.len() as u64,
+                text_len: payload.len() as u64,
+                restore_offset: 0,
+                key: [7; 16],
+                iv: [8; 12],
+                tag: [9; 16],
+            },
+            data: payload.to_vec(),
+            expected: ExpectedIdentity { mrenclave: Some(enclave.mrenclave()), mrsigner: None },
+        });
+        let server = Arc::new(AuthServer::with_store(store, ias));
+        AttestingHost { platform, enclave, server }
+    }
+
+    /// A real quote over `report_data` from the host's enclave.
+    fn quote(&self, report_data: [u8; 64]) -> Result<Vec<u8>, ElideError> {
+        let report = ereport(&self.enclave, &TargetInfo { mrenclave: QE_MEASUREMENT }, report_data)
+            .map_err(|e| ElideError::Transport(format!("ereport: {e}")))?;
+        let quote = self
+            .platform
+            .qe
+            .quote(&report)
+            .map_err(|e| ElideError::Transport(format!("quote: {e}")))?;
+        Ok(quote.to_bytes())
+    }
+}
+
 /// Stress for the sharded event loop: many *protocol-level* clients (no
 /// enclave launch each — one shared attesting enclave) hammer one
 /// service, each running a full handshake, a data fetch, a ticket
@@ -158,50 +221,13 @@ fn one_server_provisions_two_enclaves_to_parallel_clients() {
 /// acceptance bar for the async provisioning plane).
 #[test]
 fn event_loop_serves_many_protocol_clients() {
-    use sgxelide::core::store::SecretEntry as Entry;
-    use sgxelide::sgx::epc::{PagePerms, PageType};
-    use sgxelide::sgx::quote::QE_MEASUREMENT;
-    use sgxelide::sgx::report::{ereport, TargetInfo};
-    use sgxelide::sgx::sigstruct::SigStruct;
-
     let clients: usize = std::env::var("ELIDE_CONCURRENCY")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(if cfg!(debug_assertions) { 8 } else { 64 });
     let payload = b"bulk secret".to_vec();
-
-    // One platform, one initialized enclave every client attests from.
-    let mut rng = SeededRandom::new(0xD0D0);
-    let mut ias = AttestationService::new();
-    let platform = Arc::new(Platform::provision(&mut rng, &mut ias));
-    let enclave = {
-        let mut e = platform.cpu.ecreate(0x100000, 0x1000).unwrap();
-        e.eadd(0x100000, &[3; 4096], PagePerms::RX, PageType::Reg).unwrap();
-        for i in 0..16 {
-            e.eextend(0x100000 + i * 256).unwrap();
-        }
-        let kp = RsaKeyPair::generate(512, &mut rng);
-        let sig = SigStruct::sign(&kp, e.current_measurement().unwrap(), 1, 1).unwrap();
-        e.einit(&sig).unwrap();
-        Arc::new(e)
-    };
-
-    let mut store = SecretStore::new();
-    store.insert(Entry {
-        name: "bulk".into(),
-        meta: SecretMeta {
-            flags: 0,
-            data_len: payload.len() as u64,
-            text_len: payload.len() as u64,
-            restore_offset: 0,
-            key: [7; 16],
-            iv: [8; 12],
-            tag: [9; 16],
-        },
-        data: payload.clone(),
-        expected: ExpectedIdentity { mrenclave: Some(enclave.mrenclave()), mrsigner: None },
-    });
-    let server = Arc::new(AuthServer::with_store(store, ias));
+    let host = Arc::new(AttestingHost::new(&payload));
+    let server = Arc::clone(&host.server);
 
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap().to_string();
@@ -214,21 +240,11 @@ fn event_loop_serves_many_protocol_clients() {
 
     let threads: Vec<_> = (0..clients)
         .map(|_| {
-            let platform = Arc::clone(&platform);
-            let enclave = Arc::clone(&enclave);
+            let host = Arc::clone(&host);
             let addr = addr.clone();
             let payload = payload.clone();
             std::thread::spawn(move || {
-                let mut quote_fn = |report_data: [u8; 64]| {
-                    let report =
-                        ereport(&enclave, &TargetInfo { mrenclave: QE_MEASUREMENT }, report_data)
-                            .map_err(|e| ElideError::Transport(format!("ereport: {e}")))?;
-                    let quote = platform
-                        .qe
-                        .quote(&report)
-                        .map_err(|e| ElideError::Transport(format!("quote: {e}")))?;
-                    Ok(quote.to_bytes())
-                };
+                let mut quote_fn = |report_data: [u8; 64]| host.quote(report_data);
                 let mut client = ProvisionClient::new();
                 let mut t1 = TcpTransport::connect(&addr).expect("connect");
                 client.full_handshake(&mut t1, &mut quote_fn).expect("handshake");
@@ -251,4 +267,50 @@ fn event_loop_serves_many_protocol_clients() {
 
     assert_eq!(server.handshakes(), clients as u64, "one full handshake per client");
     assert_eq!(server.resumptions(), clients as u64, "one resumed session per client");
+}
+
+/// A client may pipeline: a HANDSHAKE frame and a META frame written
+/// together, before any response is read. The server must answer them in
+/// order, and the META must see the session the handshake established —
+/// never NoSession (status 4).
+#[test]
+fn pipelined_meta_behind_a_handshake_sees_the_session() {
+    let host = AttestingHost::new(b"bulk secret");
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    let addr = acceptor.local_addr().unwrap();
+    let handle = serve(
+        acceptor,
+        Arc::clone(&host.server),
+        ServiceConfig::default().with_workers(1).with_max_connections(Some(1)),
+    );
+
+    let kp = DhKeyPair::generate(&mut SeededRandom::new(0xD1D1));
+    let public = kp.public_bytes();
+    let mut report_data = [0u8; 64];
+    report_data[..32].copy_from_slice(&Sha256::digest(&public));
+    let quote = host.quote(report_data).expect("quote");
+    let mut handshake = (quote.len() as u32).to_le_bytes().to_vec();
+    handshake.extend_from_slice(&quote);
+    handshake.extend_from_slice(&public);
+
+    // Both request frames leave in one write, before anything is read.
+    let mut bytes = vec![request::HANDSHAKE as u8];
+    bytes.extend_from_slice(&(handshake.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&handshake);
+    bytes.push(request::META as u8);
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&bytes).unwrap();
+
+    let mut framed = Framed::new(stream, Limits::default()).unwrap();
+    let (status, server_pub) = framed.recv().unwrap().expect("handshake response");
+    assert_eq!(status, 0, "handshake must succeed");
+    let (status, sealed_meta) = framed.recv().unwrap().expect("meta response");
+    assert_ne!(status, 4, "META pipelined behind the handshake got NoSession");
+    assert_eq!(status, 0, "META must succeed");
+    let key = kp.derive_session_key(&server_pub).expect("server DH value");
+    let meta = decrypt_msg(&key, &sealed_meta).expect("META sealed under the new session");
+    assert_eq!(SecretMeta::from_body(&meta).expect("meta body").data_len, 11);
+    drop(framed);
+    handle.join();
 }
