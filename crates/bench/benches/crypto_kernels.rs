@@ -4,13 +4,13 @@
 //! EEXTEND-shaped many-tiny-updates stream, HMAC-SHA256, and the public-key
 //! operations (RSA SIGSTRUCT sign/verify, DH handshake).
 //!
-//! Emits `BENCH_crypto_kernels.json` at the workspace root. Override the
+//! Emits `target/bench/BENCH_crypto_kernels.json`. Override the
 //! per-kernel buffer with `ELIDE_BENCH_KERNEL_MB` and the minimum timed
 //! region with `ELIDE_BENCH_MIN_SECONDS` (CI smoke uses tiny values).
 //!
 //! Plain-main harness (`cargo bench --bench crypto_kernels`).
 
-use elide_bench::{write_kernel_json, KernelRecord};
+use elide_bench::{records_json, write_json, KernelRecord};
 use elide_crypto::aes::{ctr_xor, Aes};
 use elide_crypto::dh::DhKeyPair;
 use elide_crypto::gcm::AesGcm;
@@ -183,6 +183,7 @@ fn main() {
     });
     push("dh_keygen", 0, iters, secs);
 
-    let path = write_kernel_json("crypto_kernels", &records).expect("write json");
+    let path = write_json("crypto_kernels", &records_json("crypto_kernels", &records))
+        .expect("write json");
     println!("\nwrote {}", path.display());
 }

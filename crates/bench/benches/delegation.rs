@@ -8,12 +8,12 @@
 //! must consume exactly **one** origin handshake per repetition regardless
 //! of the peer count, while central consumes one per peer.
 //!
-//! Emits `BENCH_delegation.json` at the workspace root.
+//! Emits `target/bench/BENCH_delegation.json`.
 //! `ELIDE_BENCH_REPS` overrides the repetition count.
 //!
 //! Plain-main harness (`cargo bench --bench delegation`).
 
-use elide_bench::{delegation_provisioning, write_delegation_json, DelegationRecord};
+use elide_bench::{delegation_provisioning, records_json, write_json, DelegationRecord};
 
 fn print_rec(r: &DelegationRecord) {
     println!(
@@ -56,6 +56,6 @@ fn main() {
         }
     }
 
-    let path = write_delegation_json("delegation", &records).expect("write json");
+    let path = write_json("delegation", &records_json("delegation", &records)).expect("write json");
     println!("\nwrote {}", path.display());
 }

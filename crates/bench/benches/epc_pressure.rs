@@ -13,12 +13,14 @@
 //! invalidations it forces) lands inside the timed region — that MIPS
 //! degradation is the cost curve this bench exists to track.
 //!
-//! Emits `BENCH_epc_pressure.json` at the workspace root.
+//! Emits `target/bench/BENCH_epc_pressure.json`.
 //! `ELIDE_BENCH_REPS` overrides the per-config repetition count.
 //!
 //! Plain-main harness (`cargo bench --bench epc_pressure`).
 
-use elide_bench::{epc_pressure_elide, epc_pressure_plain, write_pressure_json, PressureRecord};
+use elide_bench::{
+    epc_pressure_elide, epc_pressure_plain, records_json, write_json, PressureRecord,
+};
 
 fn print_rec(r: &PressureRecord) {
     println!(
@@ -73,6 +75,7 @@ fn main() {
         assert!(s >= 5.0, "{}: warm-start speedup {s:.2}x < 5x at 4x oversubscription", r.app);
     }
 
-    let path = write_pressure_json("epc_pressure", &records).expect("write json");
+    let path =
+        write_json("epc_pressure", &records_json("epc_pressure", &records)).expect("write json");
     println!("\nwrote {}", path.display());
 }

@@ -15,15 +15,16 @@
 //! only ever adds time), so the minimum is the most stable estimate of the
 //! engine's actual speed.
 //!
-//! Emits `BENCH_exec_throughput.json` at the workspace root for CI
-//! artifact upload. `ELIDE_BENCH_REPS` overrides the per-app repetition
-//! count (CI smoke runs use a tiny value).
+//! Emits `target/bench/BENCH_exec_throughput.json`; `exec_gate` compares
+//! against the tracked repo-root copy, which a change updates by hand.
+//! `ELIDE_BENCH_REPS` overrides the per-app repetition count (CI smoke runs
+//! use a tiny value).
 //!
 //! Plain-main harness (`cargo bench --bench exec_throughput`).
 
 use elide_apps::harness::{launch_plain, launch_protected};
 use elide_apps::run_workload;
-use elide_bench::{write_bench_json, BenchRecord};
+use elide_bench::{records_json, write_json, BenchRecord};
 use elide_core::sanitizer::DataPlacement;
 use elide_enclave::EnclaveRuntime;
 use elide_vm::interp::Engine;
@@ -133,6 +134,7 @@ fn main() {
         }
     }
 
-    let path = write_bench_json("exec_throughput", &records).expect("write json");
+    let path = write_json("exec_throughput", &records_json("exec_throughput", &records))
+        .expect("write json");
     println!("\nwrote {}", path.display());
 }

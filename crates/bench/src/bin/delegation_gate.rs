@@ -10,8 +10,8 @@
 //!   local path may never cost more than twice the origin path even with
 //!   the delegate's stand-up amortised over a small host).
 //!
-//! Does NOT write `BENCH_delegation.json` — committed numbers come from
-//! the full bench (`cargo bench --bench delegation`).
+//! Writes no file; the full bench (`cargo bench --bench delegation`)
+//! writes `target/bench/BENCH_delegation.json`.
 
 use elide_bench::delegation_provisioning;
 

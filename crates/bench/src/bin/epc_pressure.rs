@@ -10,8 +10,8 @@
 //!   budget is actually exercising the EWB/ELDU cycle);
 //! * throughput must stay finite and nonzero under thrash.
 //!
-//! Does NOT write `BENCH_epc_pressure.json` — committed numbers come from
-//! the full bench (`cargo bench --bench epc_pressure`).
+//! Writes no file; the full bench (`cargo bench --bench epc_pressure`)
+//! writes `target/bench/BENCH_epc_pressure.json`.
 
 use elide_bench::epc_pressure_elide;
 

@@ -1,7 +1,9 @@
 //! CI regression gate for execution throughput: re-measures the
 //! interp/superblock engines on the crypto workloads and fails (exit 1) if
 //! the superblock speedup has regressed by more than the tolerance against
-//! the tracked `BENCH_exec_throughput.json` at the workspace root.
+//! the tracked `BENCH_exec_throughput.json` at the workspace root. The
+//! `exec_throughput` bench writes to `target/bench/`, never to that file;
+//! a change that means to move the baseline copies it over by hand.
 //!
 //! Absolute MIPS are machine-dependent — CI runners and dev boxes differ
 //! by integer factors — so the gate compares the **plain/interp ratio**
@@ -70,7 +72,7 @@ fn best_seconds(
 }
 
 /// Pulls `(app, build) -> mips` out of the tracked JSON. The file is
-/// emitted by our own `bench_records_json`, so a line-oriented parse of
+/// emitted by our own `records_json`, so a line-oriented parse of
 /// the known shape is enough (the workspace has no JSON dependency).
 fn parse_tracked(text: &str) -> HashMap<(String, String), f64> {
     let mut out = HashMap::new();

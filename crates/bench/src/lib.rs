@@ -1,9 +1,10 @@
 //! # elide-bench
 //!
-//! Measurement helpers shared by the paper-table binaries (`table1`,
-//! `table2`, `figures`) and the Criterion benches. Each table/figure of the
-//! SgxElide paper maps to one entry point here; see `EXPERIMENTS.md` at the
-//! repository root for the index.
+//! Measurement helpers shared by the `paper` harness (the paper's tables
+//! and figures), the four plain-main benches and the CI gates. Each
+//! table/figure of the SgxElide paper maps to one entry point here; see
+//! `EXPERIMENTS.md` at the repository root for the index. Bench output goes
+//! to `target/bench/` through [`write_json`].
 
 #![forbid(unsafe_code)]
 use elide_apps::harness::{launch_protected, App};
@@ -258,33 +259,46 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
-/// Renders bench records as a machine-readable JSON document (hand-rolled:
-/// the workspace deliberately has no third-party dependencies).
-pub fn bench_records_json(bench: &str, records: &[BenchRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"instructions_per_second\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"build\": \"{}\", \"instructions\": {}, \"seconds\": {:.6}, \"mips\": {:.3}}}{}\n",
-            json_escape(&r.name),
-            json_escape(r.build),
-            r.instructions,
-            r.seconds,
-            r.mips(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// A record that renders as one object in a `BENCH_*.json` results array.
+pub trait JsonRecord {
+    /// The unit of the schema's headline number.
+    const UNIT: &'static str;
+
+    /// The record as a one-line JSON object.
+    fn to_json(&self) -> String;
 }
 
-/// The workspace root, resolved at compile time. Bench binaries run with
-/// the package directory (`crates/bench`) as their working directory, which
-/// is gitignored; persisted `BENCH_*.json` files belong at the repo root so
-/// the perf trajectory stays tracked across PRs.
+/// Renders records as a machine-readable JSON document, one record per
+/// line (hand-rolled: the workspace deliberately has no third-party
+/// dependencies, and `exec_gate` parses this shape line by line).
+pub fn records_json<R: JsonRecord>(bench: &str, records: &[R]) -> String {
+    let rows: Vec<String> = records.iter().map(|r| format!("    {}", r.to_json())).collect();
+    format!(
+        "{{\n  \"bench\": \"{}\",\n  \"unit\": \"{}\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        json_escape(bench),
+        R::UNIT,
+        rows.join(",\n")
+    )
+}
+
+impl JsonRecord for BenchRecord {
+    const UNIT: &'static str = "instructions_per_second";
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"app\": \"{}\", \"build\": \"{}\", \"instructions\": {}, \"seconds\": {:.6}, \
+             \"mips\": {:.3}}}",
+            json_escape(&self.name),
+            json_escape(self.build),
+            self.instructions,
+            self.seconds,
+            self.mips()
+        )
+    }
+}
+
+/// The workspace root, resolved at compile time. `exec_gate` reads its
+/// tracked baseline `BENCH_exec_throughput.json` from here.
 pub fn workspace_root() -> &'static std::path::Path {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -292,18 +306,19 @@ pub fn workspace_root() -> &'static std::path::Path {
         .expect("crates/bench sits two levels below the workspace root")
 }
 
-/// Writes `BENCH_<bench>.json` at the workspace root and returns its path,
-/// for git tracking and CI artifact upload.
+/// Writes `body` to `target/bench/BENCH_<name>.json` under the workspace
+/// root and returns the path. Benches never write a tracked file: a change
+/// that means to move a tracked repo-root `BENCH_*.json` copies it over by
+/// hand.
 ///
 /// # Errors
 ///
-/// Propagates the underlying file-write error.
-pub fn write_bench_json(
-    bench: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, bench_records_json(bench, records))?;
+/// Propagates the underlying directory-create or file-write error.
+pub fn write_json(name: &str, body: &str) -> std::io::Result<std::path::PathBuf> {
+    let dir = workspace_root().join("target").join("bench");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, body)?;
     Ok(path)
 }
 
@@ -333,113 +348,21 @@ impl KernelRecord {
     }
 }
 
-/// Renders kernel throughput records as JSON.
-pub fn kernel_records_json(bench: &str, records: &[KernelRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"mb_per_s\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"bytes\": {}, \"iters\": {}, \"seconds\": {:.6}, \
-             \"mb_per_s\": {:.3}, \"ops_per_s\": {:.3}}}{}\n",
-            json_escape(&r.name),
-            r.bytes,
-            r.iters,
-            r.seconds,
-            r.mb_per_s(),
-            r.ops_per_s(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
+impl JsonRecord for KernelRecord {
+    const UNIT: &'static str = "mb_per_s";
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"kernel\": \"{}\", \"bytes\": {}, \"iters\": {}, \"seconds\": {:.6}, \
+             \"mb_per_s\": {:.3}, \"ops_per_s\": {:.3}}}",
+            json_escape(&self.name),
+            self.bytes,
+            self.iters,
+            self.seconds,
+            self.mb_per_s(),
+            self.ops_per_s()
+        )
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (kernel schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_kernel_json(
-    bench: &str,
-    records: &[KernelRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, kernel_records_json(bench, records))?;
-    Ok(path)
-}
-
-/// One measured launch configuration: wall-clock latency of the full
-/// ECREATE→EADD/EEXTEND→EINIT(→provision→restore) cycle.
-#[derive(Debug, Clone)]
-pub struct LatencyRecord {
-    /// Benchmark app name.
-    pub name: String,
-    /// Build configuration (`"plain"` / `"elide"`).
-    pub build: &'static str,
-    /// Number of timed launches.
-    pub runs: usize,
-    /// Per-run latencies in seconds.
-    pub samples: Vec<f64>,
-}
-
-impl LatencyRecord {
-    /// Mean/stddev of the samples.
-    pub fn stats(&self) -> Stats {
-        stats(&self.samples)
-    }
-
-    /// Fastest sample, in milliseconds.
-    pub fn min_ms(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min) * 1e3
-    }
-
-    /// Slowest sample, in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max) * 1e3
-    }
-}
-
-/// Renders launch-latency records as JSON.
-pub fn latency_records_json(bench: &str, records: &[LatencyRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"ms\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let s = r.stats();
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"build\": \"{}\", \"runs\": {}, \"mean_ms\": {:.3}, \
-             \"std_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}}}{}\n",
-            json_escape(&r.name),
-            json_escape(r.build),
-            r.runs,
-            s.mean_ms,
-            s.std_ms,
-            r.min_ms(),
-            r.max_ms(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (latency schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_latency_json(
-    bench: &str,
-    records: &[LatencyRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, latency_records_json(bench, records))?;
-    Ok(path)
 }
 
 /// One measured EPC-pressure configuration: enclave relaunch rates and
@@ -467,9 +390,10 @@ pub struct PressureRecord {
     /// Execution throughput under the page cap, millions of guest
     /// instructions per second (best-of-reps).
     pub mips: f64,
-    /// Page evictions (EWB) during the throughput region.
+    /// Page evictions (clean drops + EWBs) since the budget was armed:
+    /// the warm restore (elide build) plus the throughput region.
     pub evictions: u64,
-    /// Page reloads (ELDU) during the throughput region.
+    /// Page reloads over the same span.
     pub reloads: u64,
 }
 
@@ -484,48 +408,27 @@ impl PressureRecord {
     }
 }
 
-/// Renders EPC-pressure records as JSON.
-pub fn pressure_records_json(bench: &str, records: &[PressureRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"relaunches_per_second\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"build\": \"{}\", \"factor\": {}, \"page_cap\": {}, \
-             \"total_pages\": {}, \"warm_per_s\": {:.1}, \"cold_per_s\": {:.1}, \
-             \"speedup\": {:.2}, \"mips\": {:.3}, \"evictions\": {}, \"reloads\": {}}}{}\n",
-            json_escape(&r.app),
-            json_escape(r.build),
-            r.factor,
-            r.page_cap,
-            r.total_pages,
-            r.warm_per_s,
-            r.cold_per_s,
-            r.speedup(),
-            r.mips,
-            r.evictions,
-            r.reloads,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+impl JsonRecord for PressureRecord {
+    const UNIT: &'static str = "relaunches_per_second";
 
-/// Writes `BENCH_<bench>.json` (pressure schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_pressure_json(
-    bench: &str,
-    records: &[PressureRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, pressure_records_json(bench, records))?;
-    Ok(path)
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"app\": \"{}\", \"build\": \"{}\", \"factor\": {}, \"page_cap\": {}, \
+             \"total_pages\": {}, \"warm_per_s\": {:.1}, \"cold_per_s\": {:.1}, \
+             \"speedup\": {:.2}, \"mips\": {:.3}, \"evictions\": {}, \"reloads\": {}}}",
+            json_escape(&self.app),
+            json_escape(self.build),
+            self.factor,
+            self.page_cap,
+            self.total_pages,
+            self.warm_per_s,
+            self.cold_per_s,
+            self.speedup(),
+            self.mips,
+            self.evictions,
+            self.reloads
+        )
+    }
 }
 
 /// The oversubscription factors the EPC-pressure bench sweeps.
@@ -533,7 +436,7 @@ pub const PRESSURE_FACTORS: [usize; 3] = [1, 4, 16];
 
 /// Times the throughput region (`reps` workload repetitions, best-of) on a
 /// runtime whose budget is already armed, returning (mips, evictions,
-/// reloads) accumulated over the whole region.
+/// reloads), the counters accumulated since the budget was armed.
 fn pressure_mips(
     name: &str,
     rt: &mut elide_enclave::runtime::EnclaveRuntime,
@@ -711,97 +614,6 @@ pub fn epc_pressure_plain(app: &App, reps: usize) -> Vec<PressureRecord> {
     records
 }
 
-/// A percentile of a **sorted** sample (nearest-rank), in the sample's
-/// own unit. Returns 0.0 for an empty sample.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted.len() as f64 * q).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// One measured configuration of the open-loop provisioning load bench:
-/// `requests` arrivals at `rate_per_s`, each timed from its *scheduled*
-/// arrival to completion (so queueing delay counts, as in any honest
-/// open-loop load test).
-#[derive(Debug, Clone)]
-pub struct LoadRecord {
-    /// Client mode: `"full"` (handshake + fetch) or `"resumed"` (one
-    /// round-trip ticket resume), or `"hold"` for the concurrency phase.
-    pub mode: &'static str,
-    /// Target arrival rate, requests per second (0 for the hold phase).
-    pub rate_per_s: f64,
-    /// Arrivals issued.
-    pub requests: usize,
-    /// Arrivals that failed (any error; 0 in a healthy run).
-    pub errors: usize,
-    /// Peak concurrently-open client connections during the run.
-    pub concurrent: usize,
-    /// Per-request scheduled-arrival→completion latencies in seconds.
-    pub samples: Vec<f64>,
-}
-
-impl LoadRecord {
-    /// Sorted copy of the samples.
-    fn sorted(&self) -> Vec<f64> {
-        let mut s = self.samples.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        s
-    }
-
-    /// (p50, p99, p99.9) of the latency samples, in milliseconds.
-    pub fn percentiles_ms(&self) -> (f64, f64, f64) {
-        let s = self.sorted();
-        (percentile(&s, 0.50) * 1e3, percentile(&s, 0.99) * 1e3, percentile(&s, 0.999) * 1e3)
-    }
-
-    /// Slowest request, in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max) * 1e3
-    }
-}
-
-/// Renders load records as JSON (latency distribution vs arrival rate).
-pub fn load_records_json(bench: &str, records: &[LoadRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"ms\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let (p50, p99, p999) = r.percentiles_ms();
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"rate_per_s\": {:.1}, \"requests\": {}, \"errors\": {}, \
-             \"concurrent\": {}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
-             \"max_ms\": {:.3}}}{}\n",
-            json_escape(r.mode),
-            r.rate_per_s,
-            r.requests,
-            r.errors,
-            r.concurrent,
-            p50,
-            p99,
-            p999,
-            r.max_ms(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_<bench>.json` (load schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_load_json(bench: &str, records: &[LoadRecord]) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, load_records_json(bench, records))?;
-    Ok(path)
-}
-
 /// One measured configuration of the delegated-provisioning bench: `peers`
 /// enclaves provisioned per repetition, either each against the origin
 /// server ("central") or through one local delegate ("delegated" — the
@@ -833,42 +645,21 @@ impl DelegationRecord {
     }
 }
 
-/// Renders delegation records as JSON.
-pub fn delegation_records_json(bench: &str, records: &[DelegationRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str("  \"unit\": \"provisions_per_second\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"peers\": {}, \"reps\": {}, \"origin_handshakes\": {}, \
-             \"provisions_per_s\": {:.1}, \"ms_per_peer\": {:.3}}}{}\n",
-            json_escape(r.mode),
-            r.peers,
-            r.reps,
-            r.origin_handshakes,
-            r.provisions_per_s,
-            r.ms_per_peer(),
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+impl JsonRecord for DelegationRecord {
+    const UNIT: &'static str = "provisions_per_second";
 
-/// Writes `BENCH_<bench>.json` (delegation schema) at the workspace root.
-///
-/// # Errors
-///
-/// Propagates the underlying file-write error.
-pub fn write_delegation_json(
-    bench: &str,
-    records: &[DelegationRecord],
-) -> std::io::Result<std::path::PathBuf> {
-    let path = workspace_root().join(format!("BENCH_{bench}.json"));
-    std::fs::write(&path, delegation_records_json(bench, records))?;
-    Ok(path)
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"mode\": \"{}\", \"peers\": {}, \"reps\": {}, \"origin_handshakes\": {}, \
+             \"provisions_per_s\": {:.1}, \"ms_per_peer\": {:.3}}}",
+            json_escape(self.mode),
+            self.peers,
+            self.reps,
+            self.origin_handshakes,
+            self.provisions_per_s,
+            self.ms_per_peer()
+        )
+    }
 }
 
 /// Measures host-level provisioning fan-out: `peers` enclaves per rep,
@@ -1019,95 +810,105 @@ mod tests {
         assert!(s.std_ms.abs() < 1e-9);
     }
 
+    /// Writes `records` through `write_json` under a test-only name and
+    /// returns the file's contents, checked for balanced braces.
+    fn written<R: JsonRecord>(name: &str, records: &[R]) -> String {
+        let path = write_json(name, &records_json(name, records)).expect("write");
+        let text = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_file(&path).expect("remove");
+        assert!(text.contains(&format!("\"bench\": \"{name}\"")), "{text}");
+        assert!(text.contains(&format!("\"unit\": \"{}\"", R::UNIT)), "{text}");
+        assert_eq!(text.matches('{').count(), text.matches('}').count(), "{text}");
+        assert_eq!(text.lines().filter(|l| l.starts_with("    {")).count(), records.len());
+        text
+    }
+
     #[test]
-    fn bench_json_is_well_formed() {
-        let records = vec![
-            BenchRecord { name: "aes".into(), build: "plain", instructions: 1000, seconds: 0.5 },
-            BenchRecord { name: "a\"b".into(), build: "elide", instructions: 2000, seconds: 1.0 },
-        ];
-        let json = bench_records_json("exec_throughput", &records);
-        assert!(json.contains("\"bench\": \"exec_throughput\""));
+    fn every_schema_is_well_formed_through_write_json() {
+        let json = written(
+            "test_bench_schema",
+            &[
+                BenchRecord {
+                    name: "aes".into(),
+                    build: "plain",
+                    instructions: 1000,
+                    seconds: 0.5,
+                },
+                BenchRecord {
+                    name: "a\"b".into(),
+                    build: "elide",
+                    instructions: 2000,
+                    seconds: 1.0,
+                },
+            ],
+        );
         assert!(json.contains("\"mips\": 0.002"));
         assert!(json.contains("a\\\"b"), "quotes must be escaped: {json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
 
-    #[test]
-    fn kernel_json_is_well_formed() {
-        let records = vec![
-            KernelRecord { name: "aes_gcm_seal".into(), bytes: 1 << 20, iters: 8, seconds: 0.5 },
-            KernelRecord { name: "rsa_verify".into(), bytes: 0, iters: 100, seconds: 1.0 },
-        ];
-        let json = kernel_records_json("crypto_kernels", &records);
+        let json = written(
+            "test_kernel_schema",
+            &[
+                KernelRecord {
+                    name: "aes_gcm_seal".into(),
+                    bytes: 1 << 20,
+                    iters: 8,
+                    seconds: 0.5,
+                },
+                KernelRecord { name: "rsa_verify".into(), bytes: 0, iters: 100, seconds: 1.0 },
+            ],
+        );
         assert!(json.contains("\"kernel\": \"aes_gcm_seal\""));
         assert!(json.contains("\"ops_per_s\": 100.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
 
-    #[test]
-    fn latency_json_is_well_formed() {
-        let records = vec![LatencyRecord {
-            name: "aes".into(),
-            build: "elide",
-            runs: 2,
-            samples: vec![0.010, 0.012],
-        }];
-        let json = latency_records_json("launch_latency", &records);
-        assert!(json.contains("\"mean_ms\": 11.000"));
-        assert!(json.contains("\"min_ms\": 10.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
+        let json = written(
+            "test_pressure_schema",
+            &[PressureRecord {
+                app: "Sha1".into(),
+                build: "elide",
+                factor: 16,
+                page_cap: 3,
+                total_pages: 52,
+                warm_per_s: 500.0,
+                cold_per_s: 100.0,
+                mips: 12.5,
+                evictions: 40,
+                reloads: 41,
+            }],
+        );
+        assert!(json.contains("\"factor\": 16"));
+        assert!(json.contains("\"speedup\": 5.00"));
+        assert!(json.contains("\"reloads\": 41"));
 
-    #[test]
-    fn percentile_nearest_rank() {
-        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&s, 0.50), 50.0);
-        assert_eq!(percentile(&s, 0.99), 99.0);
-        assert_eq!(percentile(&s, 0.999), 100.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.999), 7.0);
-    }
-
-    #[test]
-    fn load_json_is_well_formed() {
-        let records = vec![LoadRecord {
-            mode: "full",
-            rate_per_s: 50.0,
-            requests: 3,
-            errors: 0,
-            concurrent: 3,
-            samples: vec![0.001, 0.002, 0.010],
-        }];
-        let json = load_records_json("provision_load", &records);
-        assert!(json.contains("\"rate_per_s\": 50.0"));
-        assert!(json.contains("\"p50_ms\": 2.000"));
-        assert!(json.contains("\"p999_ms\": 10.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn delegation_json_is_well_formed() {
-        let records = vec![
-            DelegationRecord {
-                mode: "central",
-                peers: 4,
-                reps: 10,
-                origin_handshakes: 4,
-                provisions_per_s: 250.0,
-            },
-            DelegationRecord {
-                mode: "delegated",
-                peers: 4,
-                reps: 10,
-                origin_handshakes: 1,
-                provisions_per_s: 500.0,
-            },
-        ];
-        let json = delegation_records_json("delegation", &records);
+        let json = written(
+            "test_delegation_schema",
+            &[
+                DelegationRecord {
+                    mode: "central",
+                    peers: 4,
+                    reps: 10,
+                    origin_handshakes: 4,
+                    provisions_per_s: 250.0,
+                },
+                DelegationRecord {
+                    mode: "delegated",
+                    peers: 4,
+                    reps: 10,
+                    origin_handshakes: 1,
+                    provisions_per_s: 500.0,
+                },
+            ],
+        );
         assert!(json.contains("\"mode\": \"delegated\""));
         assert!(json.contains("\"origin_handshakes\": 1"));
         assert!(json.contains("\"ms_per_peer\": 2.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn write_json_lands_under_target_bench() {
+        let path = write_json("test_path", "{}\n").expect("write");
+        std::fs::remove_file(&path).expect("remove");
+        assert!(path.starts_with(workspace_root().join("target").join("bench")), "{path:?}");
+        assert_eq!(path.file_name(), Some("BENCH_test_path.json".as_ref()));
     }
 
     #[test]

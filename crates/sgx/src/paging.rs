@@ -38,6 +38,9 @@ pub struct EvictedPage {
 /// lives in VA pages inside the EPC) and the paging key.
 pub struct PagingManager {
     key: [u8; 16],
+    /// The paging key's cipher, built on first use: its GHASH tables take
+    /// longer to build than sealing a page, so no EWB/ELDU rebuilds them.
+    gcm: Option<AesGcm>,
     versions: HashMap<u64, u64>,
     counter: u64,
 }
@@ -58,9 +61,15 @@ impl PagingManager {
         rng.fill(&mut seed);
         PagingManager {
             key: derive_key_128(&seed, "ewb-paging", b""),
+            gcm: None,
             versions: HashMap::new(),
             counter: 0,
         }
+    }
+
+    fn gcm(&mut self) -> &AesGcm {
+        let key = &self.key;
+        self.gcm.get_or_insert_with(|| AesGcm::new(key).expect("16-byte key"))
     }
 
     fn aad(page_offset: u64, perms: u8, ptype: u8, version: u64) -> Vec<u8> {
@@ -91,11 +100,10 @@ impl PagingManager {
         self.versions.insert(page_offset, version);
         let mut iv = [0u8; 12];
         rng.fill(&mut iv);
-        let gcm = AesGcm::new(&self.key).expect("16-byte key");
         let perms = page.perms.bits();
         let ptype = page.ptype as u8;
-        let (ciphertext, tag) =
-            gcm.seal(&iv, &Self::aad(page_offset, perms, ptype, version), &page.data[..]);
+        let aad = Self::aad(page_offset, perms, ptype, version);
+        let (ciphertext, tag) = self.gcm().seal(&iv, &aad, &page.data[..]);
         Ok(EvictedPage { page_offset, iv, ciphertext, tag, perms, ptype, version })
     }
 
@@ -117,9 +125,9 @@ impl PagingManager {
             Some(&v) if v == evicted.version => {}
             _ => return Err(SgxError::ReplayDetected),
         }
-        let gcm = AesGcm::new(&self.key).expect("16-byte key");
         let aad = Self::aad(evicted.page_offset, evicted.perms, evicted.ptype, evicted.version);
-        let plain = gcm
+        let plain = self
+            .gcm()
             .open(&evicted.iv, &aad, &evicted.ciphertext, &evicted.tag)
             .map_err(|_| SgxError::SealAuthFailed)?;
         if plain.len() != PAGE_SIZE as usize {

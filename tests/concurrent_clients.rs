@@ -33,7 +33,7 @@ use sgxelide::sgx::report::{ereport, TargetInfo};
 use sgxelide::sgx::sigstruct::SigStruct;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// Builds an enclave exposing one secret ecall per `(name, ret)` pair.
 /// Tenants with different numbers of functions have different image
@@ -214,11 +214,14 @@ impl AttestingHost {
 /// Stress for the sharded event loop: many *protocol-level* clients (no
 /// enclave launch each — one shared attesting enclave) hammer one
 /// service, each running a full handshake, a data fetch, a ticket
-/// request, and then a resumed relaunch on a second connection.
+/// request, and then a resumed relaunch on a second connection. Every
+/// client opens its first connection and waits at a barrier before any
+/// handshake, so all of them are held open at once.
 ///
 /// The client count defaults low so debug runs stay quick; CI raises it
-/// to hundreds with `ELIDE_CONCURRENCY` on the release build (the
-/// acceptance bar for the async provisioning plane).
+/// to 1,000 with `ELIDE_CONCURRENCY` on the release build (the acceptance
+/// bar for the async provisioning plane). The clients' default read and
+/// write timeouts turn a stalled shard into a failure.
 #[test]
 fn event_loop_serves_many_protocol_clients() {
     let clients: usize = std::env::var("ELIDE_CONCURRENCY")
@@ -238,15 +241,20 @@ fn event_loop_serves_many_protocol_clients() {
         ServiceConfig::default().with_workers(4).with_max_connections(Some(clients * 2)),
     );
 
+    let barrier = Arc::new(Barrier::new(clients));
     let threads: Vec<_> = (0..clients)
         .map(|_| {
             let host = Arc::clone(&host);
             let addr = addr.clone();
             let payload = payload.clone();
+            let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let mut quote_fn = |report_data: [u8; 64]| host.quote(report_data);
                 let mut client = ProvisionClient::new();
-                let mut t1 = TcpTransport::connect(&addr).expect("connect");
+                // Wait even if the connect failed, so no client hangs.
+                let t1 = TcpTransport::connect(&addr);
+                barrier.wait();
+                let mut t1 = t1.expect("connect");
                 client.full_handshake(&mut t1, &mut quote_fn).expect("handshake");
                 assert_eq!(client.fetch_data(&mut t1).expect("data"), payload);
                 client.request_ticket(&mut t1).expect("ticket");
