@@ -62,9 +62,9 @@ fn table2() {
     for app in elide_apps::all_apps() {
         let mut row = format!("| {} |", app.name);
         for placement in [DataPlacement::Remote, DataPlacement::LocalEncrypted] {
-            let sanitize = sanitize_times(&app, placement, RUNS);
-            let restore = restore_times(&app, placement, RUNS);
-            row += &format!(" {} | {} |", pm(sanitize, 3), pm(restore, 2));
+            let san = sanitize_times(&app, placement, RUNS);
+            let res = restore_times(&app, placement, RUNS);
+            row += &format!(" {} | {} |", pm(san, 3), pm(res, 2));
         }
         println!("{row}");
     }
