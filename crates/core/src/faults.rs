@@ -26,6 +26,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// One million: the denominator of every fault rate.
 pub const PPM: u32 = 1_000_000;
@@ -517,6 +518,15 @@ impl<W: Wire> Wire for FaultyWire<W> {
         self.inner.set_nonblocking(nonblocking)?;
         self.nonblocking = nonblocking;
         Ok(())
+    }
+
+    /// Forwards to the inner wire; draws no fault decision. Stashed bytes
+    /// or an injected disconnect are readable now, so those return at once.
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<()> {
+        if !self.stash.is_empty() || self.read_dead {
+            return Ok(());
+        }
+        self.inner.wait_readable(timeout)
     }
 }
 

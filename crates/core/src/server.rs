@@ -19,7 +19,7 @@ use elide_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use sgx_sim::quote::{AttestationService, Quote};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// What the server expects an attested enclave to look like.
@@ -36,7 +36,9 @@ pub struct AuthServer {
     store: SecretStore,
     ias: AttestationService,
     /// Master RNG: only used to seed per-session RNGs, so contention on
-    /// this mutex is one lock per connection, not per message.
+    /// this mutex is one lock per connection, not per message. Any state
+    /// an interrupted fill leaves is still a valid RNG state, so a
+    /// poisoned lock is recovered like every other lock here.
     rng: Mutex<Box<dyn RandomSource + Send>>,
     handshakes: AtomicU64,
     resumptions: AtomicU64,
@@ -135,7 +137,7 @@ impl AuthServer {
 
     /// Replaces the master RNG (seeded in tests).
     pub fn with_rng(self, rng: Box<dyn RandomSource + Send>) -> Self {
-        *self.rng.lock().expect("rng mutex") = rng;
+        *self.rng.lock().unwrap_or_else(PoisonError::into_inner) = rng;
         self
     }
 
@@ -148,14 +150,14 @@ impl AuthServer {
     /// Replaces (or clears) the store fault-injection plan on a live
     /// server — lets a chaos harness reuse one server across schedules.
     pub fn set_faults(&self, plan: Option<FaultPlan>) {
-        *self.faults.write().unwrap_or_else(|p| p.into_inner()) = plan;
+        *self.faults.write().unwrap_or_else(PoisonError::into_inner) = plan;
     }
 
     /// True if the next secret-store read should fail (fault injection).
     pub(crate) fn inject_store_fault(&self) -> bool {
         self.faults
             .read()
-            .unwrap_or_else(|p| p.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
             .is_some_and(FaultPlan::store_io_error_now)
     }
@@ -189,7 +191,7 @@ impl AuthServer {
     /// key space at the seed width).
     pub fn new_session(&self) -> Session {
         let mut seed = [0u8; 32];
-        self.rng.lock().expect("rng mutex").fill(&mut seed);
+        self.rng.lock().unwrap_or_else(PoisonError::into_inner).fill(&mut seed);
         Session::new(seed)
     }
 
@@ -238,8 +240,11 @@ impl AuthServer {
     /// cannot win on both connections.
     pub(crate) fn redeem_ticket(&self, blob: &[u8]) -> Result<TicketPlain, ServerError> {
         let plain = TicketPlain::open(&self.ticket_key, blob)?;
-        let fresh =
-            self.used_tickets.lock().unwrap_or_else(|p| p.into_inner()).insert(plain.ticket_id);
+        let fresh = self
+            .used_tickets
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(plain.ticket_id);
         if !fresh {
             return Err(ServerError::TicketRejected);
         }
@@ -254,9 +259,9 @@ impl AuthServer {
     /// The delegation signing key is generated lazily on the first grant;
     /// re-authorizing a delegate replaces its grant list.
     pub fn authorize_delegate(&self, delegate_mrenclave: [u8; 32], peers: &[([u8; 32], [u8; 32])]) {
-        let mut state = self.delegation.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.delegation.lock().unwrap_or_else(PoisonError::into_inner);
         if state.key.is_none() {
-            let mut rng = self.rng.lock().expect("rng mutex");
+            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
             state.key = Some(RsaKeyPair::generate(512, rng.as_mut()));
         }
         state.grants.insert(
@@ -278,7 +283,7 @@ impl AuthServer {
     pub fn revoke_delegate(&self, delegate_mrenclave: &[u8; 32]) {
         self.delegation
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .grants
             .remove(delegate_mrenclave);
     }
@@ -289,7 +294,7 @@ impl AuthServer {
     pub fn delegation_public_key(&self) -> Option<RsaPublicKey> {
         self.delegation
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .key
             .as_ref()
             .map(|k| k.public_key().clone())
@@ -311,7 +316,7 @@ impl AuthServer {
         delegate_mrenclave: &[u8; 32],
         rng: &mut dyn RandomSource,
     ) -> Result<DelegationBundle, ServerError> {
-        let state = self.delegation.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let state = self.delegation.lock().unwrap_or_else(PoisonError::into_inner);
         let peers =
             state.grants.get(delegate_mrenclave).ok_or(ServerError::DelegationRejected)?.clone();
         let key = state.key.as_ref().ok_or(ServerError::DelegationRejected)?;
@@ -419,5 +424,60 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(s.handshakes(), 800);
+    }
+
+    #[test]
+    fn poisoned_rng_lock_still_serves_handshakes() {
+        use crate::api::Platform;
+        use crate::client::ProvisionClient;
+        use crate::error::ElideError;
+        use crate::protocol::InProcessTransport;
+        use sgx_sim::epc::{PagePerms, PageType};
+        use sgx_sim::quote::QE_MEASUREMENT;
+        use sgx_sim::report::{ereport, TargetInfo};
+        use sgx_sim::sigstruct::SigStruct;
+
+        let mut rng = SeededRandom::new(0x5EED);
+        let mut ias = AttestationService::new();
+        let platform = Platform::provision(&mut rng, &mut ias);
+        let mut enclave = platform.cpu.ecreate(0x100000, 0x1000).unwrap();
+        enclave.eadd(0x100000, &[3; 4096], PagePerms::RX, PageType::Reg).unwrap();
+        let vendor = RsaKeyPair::generate(512, &mut rng);
+        let sig = SigStruct::sign(&vendor, enclave.current_measurement().unwrap(), 1, 1).unwrap();
+        enclave.einit(&sig).unwrap();
+        let expected = ExpectedIdentity { mrenclave: Some(enclave.mrenclave()), mrsigner: None };
+        let server = Arc::new(
+            AuthServer::new(sample_meta(), b"data".to_vec(), expected, ias)
+                .with_rng(Box::new(SeededRandom::new(3))),
+        );
+
+        // One panic while the master RNG lock is held poisons it.
+        let holder = Arc::clone(&server);
+        let panicked = std::thread::spawn(move || {
+            let _rng = holder.rng.lock().unwrap();
+            panic!("panic while holding the rng lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(server.rng.is_poisoned());
+
+        // Every later session and handshake must still be served.
+        let _ = server.new_session();
+        let mut transport = InProcessTransport::new(Arc::clone(&server));
+        let mut client = ProvisionClient::new().with_rng(Box::new(SeededRandom::new(4)));
+        client
+            .full_handshake(&mut transport, &mut |report_data| {
+                let report =
+                    ereport(&enclave, &TargetInfo { mrenclave: QE_MEASUREMENT }, report_data)
+                        .map_err(|e| ElideError::Transport(format!("ereport: {e}")))?;
+                let quote = platform
+                    .qe
+                    .quote(&report)
+                    .map_err(|e| ElideError::Transport(format!("quote: {e}")))?;
+                Ok(quote.to_bytes())
+            })
+            .unwrap();
+        assert_eq!(client.fetch_data(&mut transport).unwrap(), b"data");
+        assert_eq!(server.handshakes(), 1);
     }
 }

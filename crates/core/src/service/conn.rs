@@ -1,6 +1,7 @@
 //! One connection inside a shard event loop: nonblocking wire, frame
-//! reassembly, the protocol [`Session`], buffered responses, and the
-//! read/write deadlines the shard checks on every tick.
+//! reassembly, the protocol [`Session`], buffered responses, the
+//! read/write deadlines the shard checks on every tick, and the time of
+//! its last progress, by which an idle shard picks the socket to park on.
 //!
 //! ```text
 //!   [Reading] --frame--> Session::handle --> response queued
@@ -21,7 +22,7 @@ use crate::protocol::{server_error_to_status, STATUS_OK};
 use crate::server::AuthServer;
 use crate::session::Session;
 use crate::transport::{BoxedWire, Deadline, FrameAssembler, FrameProgress, Limits, WriteBuffer};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What a pump step concluded about the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +52,9 @@ pub(super) struct Conn {
     draining: bool,
     /// Fatal wire/protocol failure; close without draining.
     dead: bool,
+    /// The tick that last made progress (admission counts): the shard
+    /// parks on its most recently active reading connection.
+    last_progress: Instant,
 }
 
 impl Conn {
@@ -78,6 +82,7 @@ impl Conn {
             consumed_mark: 0,
             draining: false,
             dead: false,
+            last_progress: Instant::now(),
         })
     }
 
@@ -94,9 +99,29 @@ impl Conn {
         {
             Pump::Close
         } else if read || wrote {
+            self.last_progress = now;
             Pump::Progress
         } else {
             Pump::Idle
+        }
+    }
+
+    /// When this connection last made progress.
+    pub(super) fn last_progress(&self) -> Instant {
+        self.last_progress
+    }
+
+    /// True while the peer may still send requests (neither at EOF nor
+    /// dead), so a wait on its wire can end in a new frame.
+    pub(super) fn reading(&self) -> bool {
+        !self.draining && !self.dead
+    }
+
+    /// Parks until the wire is readable or `timeout` passes. A wire that
+    /// cannot be parked and restored to nonblocking mode is dead.
+    pub(super) fn wait_readable(&mut self, timeout: Duration) {
+        if self.wire.wait_readable(timeout).is_err() {
+            self.dead = true;
         }
     }
 

@@ -8,8 +8,12 @@
 //! answers every request frame in line through
 //! [`Session::handle`](crate::session::Session::handle), the one server
 //! path for every verb. Once per tick it reads the clock and drops the
-//! connections whose read or write deadline passed. A shard therefore
-//! serves thousands of mostly-idle connections from one thread.
+//! connections whose read or write deadline passed. When a pass answers
+//! nothing, the shard parks briefly on the socket that spoke last
+//! ([`Wire::wait_readable`](crate::transport::Wire::wait_readable)), so
+//! the next request of a conversation is answered as it arrives and an
+//! idle shard costs no CPU. A shard therefore serves thousands of
+//! mostly-idle connections from one thread.
 
 mod conn;
 pub mod pool;

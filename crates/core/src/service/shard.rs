@@ -5,8 +5,15 @@
 //! thread's injector, reads the clock once, and makes one pass over every
 //! connection: answer the frames that are ready, flush responses, and drop
 //! the connection if it finished or its read or write deadline passed.
-//! Nothing in a shard blocks on a peer — the only blocking wait is the
-//! injector receive when the shard has no connections at all.
+//!
+//! A shard waits in two places. With no connections it parks on the
+//! injector. After a pass that answered nothing it parks, for at most
+//! `IDLE_TICK_SLEEP`, on its hottest socket: the reading connection that
+//! last made progress, which in a request-response conversation is the one
+//! that sends next, so its request is answered as it arrives. It sleeps
+//! only when no connection is reading. While parked, the shard's other
+//! connections and new admissions wait for the park to end — on TCP up to
+//! one kernel jiffy, since Linux rounds the receive timeout up to that.
 
 use super::conn::{Conn, Pump};
 use crate::faults::FaultPlan;
@@ -19,7 +26,10 @@ use std::time::{Duration, Instant};
 
 /// How long an empty shard parks on its injector per iteration.
 const IDLE_ACCEPT_WAIT: Duration = Duration::from_millis(10);
-/// Sleep when connections exist but none made progress this tick.
+/// Longest idle wait between passes when connections exist but none made
+/// progress: the shard parks this long on its hottest reading connection
+/// (woken early by its bytes or EOF), or sleeps it when none is reading.
+/// On TCP, Linux rounds the wait up to one jiffy (1–10 ms by `CONFIG_HZ`).
 const IDLE_TICK_SLEEP: Duration = Duration::from_micros(500);
 
 pub(super) fn shard_loop(
@@ -69,8 +79,15 @@ pub(super) fn shard_loop(
             }
         });
 
-        if !progress {
-            std::thread::sleep(IDLE_TICK_SLEEP);
+        if progress || conns.is_empty() {
+            // Reaped the last connection: park on the injector at once.
+            continue;
+        }
+        // Idle pass: block until the connection that spoke last is
+        // readable — in a request-response conversation it sends next.
+        match conns.iter_mut().filter(|c| c.reading()).max_by_key(|c| c.last_progress()) {
+            Some(hottest) => hottest.wait_readable(IDLE_TICK_SLEEP),
+            None => std::thread::sleep(IDLE_TICK_SLEEP),
         }
     }
 }

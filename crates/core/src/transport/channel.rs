@@ -137,6 +137,17 @@ impl Wire for PipeStream {
         self.nonblocking = nonblocking;
         Ok(())
     }
+
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<()> {
+        if self.pending.is_empty() {
+            // A chunk, a disconnect (EOF) and the timeout all end the
+            // wait; a received chunk is kept for the next read.
+            if let Ok(chunk) = self.rx.recv_timeout(timeout) {
+                self.pending.extend(chunk);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Connect side of an in-process listener; clone freely across threads.
@@ -226,6 +237,11 @@ mod tests {
         drop(a);
         let mut buf = [0u8; 4];
         assert_eq!(b.read(&mut buf).unwrap(), 0);
+    }
+
+    #[test]
+    fn wait_readable_parks_until_bytes_eof_or_timeout() {
+        crate::transport::check_wait_readable(pipe, |_| {});
     }
 
     #[test]

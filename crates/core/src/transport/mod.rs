@@ -151,6 +151,25 @@ pub trait Wire: Read + Write + Send {
     ///
     /// Propagates the stream's mode-configuration errors.
     fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()>;
+
+    /// Parks the calling thread until the wire has bytes to read or the
+    /// peer has closed, or until `timeout` passes — the blocking wait an
+    /// idle event loop uses instead of a fixed sleep. Consumes nothing:
+    /// the next read sees exactly what it would have seen, and a wire in
+    /// nonblocking mode is nonblocking again on return. Returning is no
+    /// promise of readiness; the caller polls the wire either way.
+    ///
+    /// The default cannot watch the wire and sleeps for `timeout`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates failures to switch the wire's mode or timeout; the wire
+    /// may then be left in a state the caller cannot poll, so the caller
+    /// should drop it.
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<()> {
+        std::thread::sleep(timeout);
+        Ok(())
+    }
 }
 
 /// Type-erased wire, as produced by a [`Listener`].
@@ -167,6 +186,10 @@ impl Wire for BoxedWire {
 
     fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
         (**self).set_nonblocking(nonblocking)
+    }
+
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<()> {
+        (**self).wait_readable(timeout)
     }
 }
 
@@ -494,6 +517,85 @@ impl WriteBuffer {
             Err(e) => Err(e),
         }
     }
+}
+
+/// Checks the [`Wire::wait_readable`] contract on one kind of wire.
+/// `pair` makes a connected `(peer, wire)`; the checker switches the wire
+/// to nonblocking mode, as a shard holds it, and `restored` asserts the
+/// settings a wait must put back besides that mode. The wait must return
+/// soon after a peer write and at peer EOF, return after its timeout when
+/// nothing arrives, consume nothing, and leave the wire nonblocking.
+#[cfg(test)]
+pub(crate) fn check_wait_readable<P, W>(pair: impl Fn() -> (P, W), restored: impl Fn(&W))
+where
+    P: Write + Send + 'static,
+    W: Wire,
+{
+    use std::thread::{sleep, spawn};
+    let soon = Duration::from_secs(1);
+    let long = Duration::from_secs(2);
+    // The peer acts 50 ms into a 2 s wait; a peer it returns stays open.
+    let after = |peer_action: fn(P) -> Option<P>| {
+        let (peer, mut wire) = pair();
+        wire.set_nonblocking(true).unwrap();
+        let peer = spawn(move || {
+            sleep(Duration::from_millis(50));
+            peer_action(peer)
+        });
+        let start = Instant::now();
+        wire.wait_readable(long).unwrap();
+        let waited = start.elapsed();
+        let peer = peer.join().unwrap();
+        assert!(waited < soon, "woke {waited:?} after the peer acted");
+        (peer, wire)
+    };
+    let still_nonblocking = |wire: &mut W| {
+        restored(wire);
+        let e = wire.read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{e:?}");
+    };
+
+    // Wakes on a peer write, and consumes nothing.
+    let (_peer, mut wire) = after(|mut peer| {
+        peer.write_all(b"x").unwrap();
+        Some(peer)
+    });
+    let mut buf = [0u8; 1];
+    assert_eq!((wire.read(&mut buf).unwrap(), buf), (1, *b"x"), "the wait consumed the byte");
+    still_nonblocking(&mut wire);
+
+    // Wakes at peer EOF.
+    let (_, mut wire) = after(|peer| {
+        drop(peer);
+        None
+    });
+    assert_eq!(wire.read(&mut [0u8; 1]).unwrap(), 0, "EOF");
+    restored(&wire);
+
+    // Returns after its timeout when nothing arrives. TCP counts the
+    // timeout in kernel jiffies, so allow one jiffy (at most 10 ms) early.
+    let (_peer, mut wire) = pair();
+    wire.set_nonblocking(true).unwrap();
+    let start = Instant::now();
+    wire.wait_readable(Duration::from_millis(200)).unwrap();
+    let waited = start.elapsed();
+    assert!(waited >= Duration::from_millis(190), "returned after {waited:?}");
+    assert!(waited < long, "returned after {waited:?}");
+    still_nonblocking(&mut wire);
+
+    // Bytes already waiting: returns at once, twice in a row, and the
+    // wire is still nonblocking once they are read.
+    let (mut peer, mut wire) = pair();
+    wire.set_nonblocking(true).unwrap();
+    peer.write_all(b"yz").unwrap();
+    let start = Instant::now();
+    wire.wait_readable(long).unwrap();
+    wire.wait_readable(long).unwrap();
+    assert!(start.elapsed() < soon, "waited {:?} with bytes ready", start.elapsed());
+    let mut buf = [0u8; 2];
+    wire.read_exact(&mut buf).unwrap();
+    assert_eq!(&buf, b"yz");
+    still_nonblocking(&mut wire);
 }
 
 #[cfg(test)]

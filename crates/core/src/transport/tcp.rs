@@ -23,6 +23,26 @@ impl Wire for TcpStream {
     fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
         TcpStream::set_nonblocking(self, nonblocking)
     }
+
+    /// std has no `poll(2)`, so the wait is a blocking one-byte `peek`
+    /// under a receive timeout; the old timeout and nonblocking mode are
+    /// restored afterwards. Linux rounds the receive timeout up to a whole
+    /// jiffy (1–10 ms by `CONFIG_HZ`), so a short `timeout` parks longer.
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<()> {
+        if timeout.is_zero() {
+            return Ok(());
+        }
+        let old = self.read_timeout()?;
+        TcpStream::set_nonblocking(self, false)?;
+        let parked = self.set_read_timeout(Some(timeout)).map(|()| {
+            // Bytes, EOF, a socket error and the timeout all end the wait;
+            // the caller's next read tells them apart.
+            let _ = self.peek(&mut [0u8; 1]);
+        });
+        let restored =
+            self.set_read_timeout(old).and_then(|()| TcpStream::set_nonblocking(self, true));
+        parked.and(restored)
+    }
 }
 
 /// TCP [`Listener`] with a cooperative close: the closer sets a flag and
@@ -153,6 +173,21 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(50));
         close();
         assert!(t.join().unwrap(), "accept must return None after close");
+    }
+
+    #[test]
+    fn wait_readable_parks_until_bytes_eof_or_timeout() {
+        let read_timeout = Some(Duration::from_secs(7));
+        crate::transport::check_wait_readable(
+            || {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (mut server, _) = listener.accept().unwrap();
+                server.apply_limits(&Limits { read_timeout, ..Limits::default() }).unwrap();
+                (client, server)
+            },
+            |server| assert_eq!(server.read_timeout().unwrap(), read_timeout),
+        );
     }
 
     #[test]

@@ -101,8 +101,14 @@ fn plan_pages(elf: &ElfFile) -> Result<(u64, u64, Vec<PagePlan>), EnclaveError> 
 pub fn measure_enclave(image: &[u8]) -> Result<[u8; 32], EnclaveError> {
     let elf = ElfFile::parse(image.to_vec())?;
     let (base, size, plans) = plan_pages(&elf)?;
+    Ok(measure(base, size, &plans))
+}
+
+/// The MRENCLAVE the architectural `ECREATE`/`EADD`/`EEXTEND` sequence
+/// computes over `plans` in an enclave of `size` bytes at `base`.
+fn measure(base: u64, size: u64, plans: &[PagePlan]) -> [u8; 32] {
     let mut m = Measurement::ecreate(size);
-    for page in &plans {
+    for page in plans {
         let off = page.vaddr - base;
         m.eadd(off, page.perms, PageType::Reg);
         // Chunks are borrowed straight from the page plan — no staging copy.
@@ -110,7 +116,7 @@ pub fn measure_enclave(image: &[u8]) -> Result<[u8; 32], EnclaveError> {
             m.eextend(off + (c * EEXTEND_CHUNK) as u64, chunk.try_into().expect("256-byte chunk"));
         }
     }
-    Ok(m.finalize())
+    m.finalize()
 }
 
 /// Signs an enclave image: measures it offline and wraps the measurement in
@@ -188,18 +194,7 @@ impl ImagePlan {
             .map(|s| s.value)
             .ok_or_else(|| EnclaveError::MissingSymbol("__stack_top".into()))?;
         let (base, size, plans) = plan_pages(&elf)?;
-        let mut m = Measurement::ecreate(size);
-        for page in &plans {
-            let off = page.vaddr - base;
-            m.eadd(off, page.perms, PageType::Reg);
-            for (c, chunk) in page.data.chunks_exact(EEXTEND_CHUNK).enumerate() {
-                m.eextend(
-                    off + (c * EEXTEND_CHUNK) as u64,
-                    chunk.try_into().expect("256-byte chunk"),
-                );
-            }
-        }
-        let mrenclave = m.finalize();
+        let mrenclave = measure(base, size, &plans);
         Ok(ImagePlan { base, size, entry, stack_top, plans, mrenclave })
     }
 

@@ -277,6 +277,61 @@ fn event_loop_serves_many_protocol_clients() {
     assert_eq!(server.resumptions(), clients as u64, "one resumed session per client");
 }
 
+/// Process CPU time (user + system) from `/proc/self/stat`, or `None` off
+/// Linux. The fields count `USER_HZ` ticks, which Linux fixes at 100 for
+/// userspace on every mainstream architecture.
+fn process_cpu_seconds() -> Option<f64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name may hold spaces; the fields after it do not.
+    let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+    // After the name: state is field 3, utime field 14, stime field 15.
+    let utime: u64 = fields.get(11)?.parse().ok()?;
+    let stime: u64 = fields.get(12)?.parse().ok()?;
+    Some((utime + stime) as f64 / 100.0)
+}
+
+/// What an idle server costs: `ELIDE_CONCURRENCY` (default 1,000) TCP
+/// connections held open and silent on two shards for about 3 s, with
+/// the process CPU time over the hold printed. It asserts nothing; it is
+/// a reading to compare across commits:
+///
+/// ```text
+/// ELIDE_CONCURRENCY=1000 cargo test --release --test concurrent_clients \
+///     idle_hold_cpu -- --ignored --nocapture
+/// ```
+#[test]
+#[ignore = "prints an idle-CPU reading; run with --ignored --nocapture"]
+fn idle_hold_cpu() {
+    if process_cpu_seconds().is_none() {
+        eprintln!("idle_hold_cpu: skipped, no /proc/self/stat on this platform");
+        return;
+    }
+    let conns: usize =
+        std::env::var("ELIDE_CONCURRENCY").ok().and_then(|v| v.parse().ok()).unwrap_or(1000);
+    let host = AttestingHost::new(b"idle");
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    let addr = acceptor.local_addr().unwrap();
+    let handle =
+        serve(acceptor, Arc::clone(&host.server), ServiceConfig::default().with_workers(2));
+    let held: Vec<TcpStream> = (0..conns).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    // Let the shards admit every connection before the hold starts.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+
+    let hold = std::time::Duration::from_secs(3);
+    let cpu_before = process_cpu_seconds().unwrap();
+    let start = std::time::Instant::now();
+    std::thread::sleep(hold);
+    let wall = start.elapsed().as_secs_f64();
+    let cpu = process_cpu_seconds().unwrap() - cpu_before;
+    println!(
+        "idle_hold_cpu: {conns} idle connections on 2 shards for {wall:.2} s: \
+         {cpu:.2} CPU s ({:.0}% of one core)",
+        100.0 * cpu / wall
+    );
+    drop(held);
+    handle.shutdown();
+}
+
 /// A client may pipeline: a HANDSHAKE frame and a META frame written
 /// together, before any response is read. The server must answer them in
 /// order, and the META must see the session the handshake established —
