@@ -2,7 +2,7 @@
 //! critical path: AES-CTR (GCM's bulk cipher), AES-GCM seal/open, GHASH
 //! (isolated via the AAD-only path), SHA-1/SHA-256 bulk and the
 //! EEXTEND-shaped many-tiny-updates stream, HMAC-SHA256, and the public-key
-//! operations (RSA SIGSTRUCT sign/verify, DH handshake).
+//! operations (RSA key generation, SIGSTRUCT sign/verify, DH handshake).
 //!
 //! Emits `target/bench/BENCH_crypto_kernels.json`. Override the
 //! per-kernel buffer with `ELIDE_BENCH_KERNEL_MB` and the minimum timed
@@ -153,7 +153,14 @@ fn main() {
     });
     push("hmac_sha256", size as u64, iters, secs);
 
-    // --- Public-key ops: per-op rate rather than MB/s.
+    // --- Public-key ops: per-op rate rather than MB/s. Key generation
+    // (prime search + Miller–Rabin) runs on every launch's set-up path.
+    let mut rng = SeededRandom::new(0xE11DE);
+    let (iters, secs) = time_kernel(min_seconds, || {
+        std::hint::black_box(RsaKeyPair::generate(512, &mut rng).public_key().modulus_len());
+    });
+    push("rsa512_keygen", 0, iters, secs);
+
     let mut rng = SeededRandom::new(0xE11DE);
     let kp = RsaKeyPair::generate(512, &mut rng);
     let msg = b"SIGSTRUCT payload";

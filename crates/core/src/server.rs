@@ -13,11 +13,11 @@ use crate::faults::FaultPlan;
 use crate::meta::SecretMeta;
 use crate::session::Session;
 use crate::store::{SecretEntry, SecretStore};
-use crate::ticket::{now_ms, TicketPlain};
+use crate::ticket::{now_ms, TicketPlain, MAX_CLOCK_SKEW_MS};
 use elide_crypto::rng::{OsRandom, RandomSource};
 use elide_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use sgx_sim::quote::{AttestationService, Quote};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
@@ -49,7 +49,7 @@ pub struct AuthServer {
     /// Validity window for newly issued tickets.
     ticket_ttl: Duration,
     /// Ids of redeemed tickets (single-use enforcement).
-    used_tickets: Mutex<HashSet<[u8; 16]>>,
+    used_tickets: Mutex<RedeemedTickets>,
     /// Fault-injection plan for secret-store reads (chaos testing only;
     /// `None` in production). Behind an `RwLock` so a test harness can
     /// swap schedules between runs on a shared server.
@@ -59,6 +59,39 @@ pub struct AuthServer {
     delegation: Mutex<DelegationState>,
     /// Validity window for newly signed delegation policies.
     delegation_ttl: Duration,
+}
+
+/// Ids of redeemed tickets, kept until their tickets have certainly
+/// expired. A ticket can be dated up to [`MAX_CLOCK_SKEW_MS`] ahead of its
+/// redemption and stays valid for its own TTL, so `window_ms` is the
+/// largest `ttl_ms + MAX_CLOCK_SKEW_MS` redeemed so far. An id lands in
+/// `current`; once a window has passed, `current` becomes `previous`, and
+/// a window later it is dropped. The set thus holds about two windows of
+/// redemptions instead of every redemption since start-up. Each id is kept
+/// as its first 8 bytes in a B-tree, which grows a node at a time (a hash
+/// set briefly holds its old and new table on every doubling). Ids are 128
+/// random bits, so a prefix collision (odds n/2^64) can only refuse a
+/// fresh ticket, never admit a replay, and a refused ticket costs its
+/// client a full handshake.
+#[derive(Default)]
+struct RedeemedTickets {
+    current: BTreeSet<u64>,
+    previous: BTreeSet<u64>,
+    rotated_ms: u64,
+    window_ms: u64,
+}
+
+impl RedeemedTickets {
+    /// Records `ticket`'s id as redeemed at `now`; false if it already was.
+    fn burn(&mut self, ticket: &TicketPlain, now: u64) -> bool {
+        self.window_ms = self.window_ms.max(ticket.ttl_ms.saturating_add(MAX_CLOCK_SKEW_MS));
+        if now.saturating_sub(self.rotated_ms) >= self.window_ms {
+            self.previous = std::mem::take(&mut self.current);
+            self.rotated_ms = now;
+        }
+        let key = u64::from_le_bytes(ticket.ticket_id[..8].try_into().expect("8 bytes"));
+        !self.previous.contains(&key) && self.current.insert(key)
+    }
 }
 
 #[derive(Default)]
@@ -104,7 +137,7 @@ impl AuthServer {
             resumptions: AtomicU64::new(0),
             ticket_key,
             ticket_ttl: Duration::from_secs(3600),
-            used_tickets: Mutex::new(HashSet::new()),
+            used_tickets: Mutex::new(RedeemedTickets::default()),
             faults: RwLock::new(None),
             delegation: Mutex::new(DelegationState::default()),
             delegation_ttl: Duration::from_secs(3600),
@@ -240,15 +273,10 @@ impl AuthServer {
     /// cannot win on both connections.
     pub(crate) fn redeem_ticket(&self, blob: &[u8]) -> Result<TicketPlain, ServerError> {
         let plain = TicketPlain::open(&self.ticket_key, blob)?;
-        let fresh = self
-            .used_tickets
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(plain.ticket_id);
-        if !fresh {
-            return Err(ServerError::TicketRejected);
-        }
-        if plain.expired_at(now_ms()) {
+        let now = now_ms();
+        let fresh =
+            self.used_tickets.lock().unwrap_or_else(PoisonError::into_inner).burn(&plain, now);
+        if !fresh || plain.expired_at(now) {
             return Err(ServerError::TicketRejected);
         }
         Ok(plain)
@@ -363,6 +391,32 @@ mod tests {
             iv: [2; 12],
             tag: [3; 16],
         }
+    }
+
+    #[test]
+    fn redeemed_ids_are_single_use_and_forgotten_after_two_windows() {
+        let ticket = |id: u8, ttl_ms: u64| TicketPlain {
+            mrenclave: [0; 32],
+            mrsigner: [0; 32],
+            channel_key: [0; 16],
+            ticket_id: [id; 16],
+            issued_ms: 0,
+            ttl_ms,
+        };
+        let (a, b) = (ticket(1, 100), ticket(2, 100));
+        let window = 100 + MAX_CLOCK_SKEW_MS;
+        let mut used = RedeemedTickets::default();
+        assert!(used.burn(&a, window));
+        assert!(!used.burn(&a, window + 50), "a replay within the window is refused");
+        assert!(used.burn(&b, 2 * window + 20), "rotation keeps fresh ids fresh");
+        assert!(!used.burn(&a, 2 * window + 50), "one rotation later the id is still held");
+        assert!(!used.burn(&b, 3 * window));
+        assert!(used.burn(&a, 3 * window + 50), "two windows after its burn the id is dropped");
+        assert!(used.current.len() + used.previous.len() <= 2);
+        // A longer-lived ticket widens the window for every later burn.
+        let long = ticket(3, 10 * window);
+        assert!(used.burn(&long, 3 * window + 60));
+        assert!(!used.burn(&long, 3 * window + 60 + 10 * window), "held for its whole TTL");
     }
 
     #[test]

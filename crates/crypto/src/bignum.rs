@@ -386,7 +386,9 @@ impl BigUint {
     /// Modular exponentiation: `self^exp mod m`.
     ///
     /// Odd moduli — every RSA and DH modulus — take the Montgomery +
-    /// 4-bit fixed-window path; even moduli fall back to the schoolbook
+    /// 4-bit fixed-window path through a context built for this one call
+    /// (callers that exponentiate repeatedly under one modulus keep a
+    /// context instead); even moduli fall back to the schoolbook
     /// square-and-multiply with a division per step.
     ///
     /// # Panics
@@ -398,7 +400,7 @@ impl BigUint {
             return BigUint::zero();
         }
         if m.is_odd() {
-            return Montgomery::new(m).modpow(&self.rem(m), exp);
+            return Montgomery::new(m).modpow(self, exp);
         }
         let mut base = self.rem(m);
         let mut result = BigUint::one();
@@ -440,112 +442,163 @@ impl BigUint {
     }
 }
 
-/// Montgomery context for one odd modulus: all reductions inside
-/// [`Montgomery::modpow`] are carry-propagating multiplications (CIOS), no
-/// division. Built once per exponentiation; the expensive parts — `n0` and
-/// `R² mod n` — amortize over the exponent's hundreds of multiplies.
-struct Montgomery {
-    /// Modulus limbs (little-endian), length `k`.
-    n: Vec<u64>,
+/// Montgomery context for one odd modulus: every reduction inside an
+/// exponentiation is a carry-propagating multiply (CIOS), never a division.
+/// Building one costs a Knuth division (`R² mod n`), so a context is made
+/// once per modulus and reused: the Diffie–Hellman group keeps one for the
+/// life of the process, an RSA key pair one per prime factor, and
+/// Miller–Rabin one per candidate across all of its rounds.
+///
+/// Values in Montgomery form (`x·R mod n`, `R = 2^(64k)` for a `k`-limb
+/// modulus) are fully reduced and live in `k + 1` limb buffers: the extra
+/// limb is the CIOS carry, zero again once a product is complete, so any
+/// such buffer can be the output of the next [`Montgomery::mul`].
+#[derive(Clone)]
+pub(crate) struct Montgomery {
+    /// The modulus `n`; its limbs are the ones reduced against.
+    m: BigUint,
     /// `-n[0]⁻¹ mod 2^64`.
     n0: u64,
-    /// `R² mod n` where `R = 2^(64k)`, padded to `k` limbs.
+    /// `R² mod n`, padded to `k` limbs: the multiplier into Montgomery form.
     rr: Vec<u64>,
-    k: usize,
+    /// `R mod n` (one in Montgomery form), padded to `k + 1` limbs.
+    one: Vec<u64>,
 }
 
 impl Montgomery {
     /// # Panics
     ///
-    /// Panics if `m` is even or < 3 (callers gate on `is_odd`).
-    fn new(m: &BigUint) -> Montgomery {
+    /// Panics if `m` is even or < 3.
+    pub(crate) fn new(m: &BigUint) -> Montgomery {
         assert!(m.is_odd() && *m > BigUint::one(), "Montgomery needs an odd modulus > 1");
-        let n = m.limbs.clone();
-        let k = n.len();
+        let k = m.limbs.len();
+        let low = m.limbs[0];
         // Newton's iteration doubles the valid low bits each round:
-        // 5 rounds take the trivial inverse mod 2 up to mod 2^64.
-        let mut inv = n[0]; // n[0] odd ⇒ self-inverse mod 8, seed for Newton
+        // 5 rounds take the trivial inverse mod 8 up to mod 2^64.
+        let mut inv = low; // low odd ⇒ self-inverse mod 8, seed for Newton
         for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+            inv = inv.wrapping_mul(2u64.wrapping_sub(low.wrapping_mul(inv)));
         }
-        debug_assert_eq!(n[0].wrapping_mul(inv), 1);
+        debug_assert_eq!(low.wrapping_mul(inv), 1);
         let mut rr = BigUint::one().shl(128 * k).rem(m).limbs;
         rr.resize(k, 0);
-        Montgomery { n, n0: inv.wrapping_neg(), rr, k }
+        let mut one = BigUint::one().shl(64 * k).rem(m).limbs;
+        one.resize(k + 1, 0);
+        Montgomery { m: m.clone(), n0: inv.wrapping_neg(), rr, one }
     }
 
-    /// Montgomery product `a·b·R⁻¹ mod n` (CIOS: interleaved multiply and
-    /// reduce, one limb of `a` per pass). `a` and `b` are `k` limbs.
-    fn mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.k;
-        let mut t = vec![0u64; k + 2];
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.m
+    }
+
+    /// One in Montgomery form (`k + 1` limbs).
+    pub(crate) fn one(&self) -> &[u64] {
+        &self.one
+    }
+
+    /// Enters Montgomery form: `x·R mod n`, reducing `x` mod `n` first if
+    /// it is not already below it.
+    pub(crate) fn enter(&self, x: &BigUint) -> Vec<u64> {
+        let k = self.m.limbs.len();
+        let mut limbs = if *x >= self.m { x.rem(&self.m).limbs } else { x.limbs.clone() };
+        limbs.resize(k, 0);
+        let mut out = vec![0u64; k + 1];
+        self.mul(&limbs, &self.rr, &mut out);
+        out
+    }
+
+    /// Leaves Montgomery form: `a·R⁻¹ mod n`.
+    pub(crate) fn leave(&self, a: &[u64]) -> BigUint {
+        let k = self.m.limbs.len();
+        let mut unit = vec![0u64; k];
+        unit[0] = 1;
+        let mut out = vec![0u64; k + 1];
+        self.mul(a, &unit, &mut out);
+        let mut n = BigUint { limbs: out };
+        n.normalize();
+        n
+    }
+
+    /// `out = a·b·R⁻¹ mod n`, fully reduced: CIOS with the multiply and the
+    /// reduce step fused into one pass per limb of `a`. Reads the low `k`
+    /// limbs of `a` and `b` (`b` must be below `n`, which every Montgomery
+    /// form value is); `out` is `k + 1` limbs and leaves with its top limb
+    /// zero.
+    pub(crate) fn mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        let n = &self.m.limbs[..];
+        let k = n.len();
+        let (a, b, t) = (&a[..k], &b[..k], &mut out[..=k]);
+        t.fill(0);
         for &ai in a {
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-            // One reduction step: add m·n (making t[0] zero) and shift out
-            // the low limb.
-            let m = t[0].wrapping_mul(self.n0);
-            let mut carry = (t[0] as u128 + m as u128 * self.n[0] as u128) >> 64;
+            // Limb 0 fixes the reduction multiplier `m` that makes the
+            // running sum divisible by 2^64; every later limb adds both
+            // products and shifts down one limb in the same step.
+            let s = t[0] as u128 + ai as u128 * b[0] as u128;
+            let mut c1 = s >> 64;
+            let m = (s as u64).wrapping_mul(self.n0);
+            let mut c2 = ((s as u64) as u128 + m as u128 * n[0] as u128) >> 64;
             for j in 1..k {
-                let s = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
+                let s = t[j] as u128 + ai as u128 * b[j] as u128 + c1;
+                c1 = s >> 64;
+                let s = (s as u64) as u128 + m as u128 * n[j] as u128 + c2;
+                c2 = s >> 64;
                 t[j - 1] = s as u64;
-                carry = s >> 64;
             }
-            let s = t[k] as u128 + carry;
+            let s = t[k] as u128 + c1 + c2;
             t[k - 1] = s as u64;
-            t[k] = t[k + 1].wrapping_add((s >> 64) as u64);
-            t[k + 1] = 0;
+            t[k] = (s >> 64) as u64;
         }
         // CIOS keeps t < 2n, so at most one final subtraction. When the
-        // carry limb t[k] is set, the low limbs may borrow; the borrow
+        // carry limb t[k] is set, the low limbs borrow, and the borrow
         // exactly cancels the carry limb (t < 2n means t[k] is 0 or 1).
-        if t[k] != 0 || !limbs_lt(&t[..k], &self.n) {
-            let borrow = limbs_sub_assign(&mut t[..k], &self.n);
+        if t[k] != 0 || !limbs_lt(&t[..k], n) {
+            let borrow = limbs_sub_assign(&mut t[..k], n);
             debug_assert_eq!(t[k], borrow);
             t[k] = 0;
         }
-        t.truncate(k);
-        t
     }
 
-    /// `x^exp mod n` with a 4-bit fixed window. `x` must already be < n.
-    fn modpow(&self, x: &BigUint, exp: &BigUint) -> BigUint {
-        let mut base = x.limbs.clone();
-        base.resize(self.k, 0);
-        let mut one = vec![0u64; self.k];
-        one[0] = 1;
-        let one_m = self.mul(&one, &self.rr); // R mod n
-        let base_m = self.mul(&base, &self.rr);
-        // table[i] = baseⁱ in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(one_m.clone());
-        for i in 1..16 {
-            table.push(self.mul(&table[i - 1], &base_m));
+    /// `base^exp` with both ends in Montgomery form, by a 4-bit fixed
+    /// window. The window table and the two ping-pong accumulators are the
+    /// only buffers; no product allocates.
+    pub(crate) fn pow(&self, base: &[u64], exp: &BigUint) -> Vec<u64> {
+        let k = self.m.limbs.len();
+        let windows = exp.bits().div_ceil(4);
+        if windows == 0 {
+            return self.one.clone();
+        }
+        // table[i·k..(i+1)·k] = baseⁱ.
+        let mut table = vec![0u64; 16 * k];
+        let mut acc = vec![0u64; k + 1];
+        let mut tmp = vec![0u64; k + 1];
+        table[..k].copy_from_slice(&self.one[..k]);
+        table[k..2 * k].copy_from_slice(&base[..k]);
+        for i in 2..16 {
+            self.mul(&table[(i - 1) * k..i * k], base, &mut tmp);
+            table[i * k..(i + 1) * k].copy_from_slice(&tmp[..k]);
         }
         // 64 % 4 == 0, so exponent nibbles never straddle limbs.
-        let windows = exp.bits().div_ceil(4);
-        let mut acc = one_m;
-        for w in (0..windows).rev() {
-            if w + 1 != windows {
-                for _ in 0..4 {
-                    acc = self.mul(&acc, &acc);
-                }
+        let nibble = |w: usize| ((exp.limbs[w / 16] >> (4 * (w % 16))) & 0xf) as usize;
+        let top = nibble(windows - 1);
+        acc[..k].copy_from_slice(&table[top * k..(top + 1) * k]);
+        for w in (0..windows - 1).rev() {
+            for _ in 0..4 {
+                self.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
             }
-            let nib = ((exp.limbs[w / 16] >> (4 * (w % 16))) & 0xf) as usize;
+            let nib = nibble(w);
             if nib != 0 {
-                acc = self.mul(&acc, &table[nib]);
+                self.mul(&acc, &table[nib * k..(nib + 1) * k], &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
             }
         }
-        let mut out = BigUint { limbs: self.mul(&acc, &one) };
-        out.normalize();
-        out
+        acc
+    }
+
+    /// `x^exp mod n`: the one-shot path through Montgomery form and back.
+    pub(crate) fn modpow(&self, x: &BigUint, exp: &BigUint) -> BigUint {
+        self.leave(&self.pow(&self.enter(x), exp))
     }
 }
 
@@ -783,30 +836,69 @@ mod tests {
         }
     }
 
+    fn random_limbs(rng: &mut SeededRandom, limbs: usize) -> BigUint {
+        BigUint { limbs: (0..limbs).map(|_| rng.next_u64()).collect() }.add(&BigUint::zero())
+    }
+
+    /// Square-and-multiply with a division per step, as a reference.
+    fn schoolbook_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut acc = BigUint::one().rem(m);
+        let mut b = base.rem(m);
+        for i in 0..exp.bits() {
+            if exp.bit(i) {
+                acc = acc.mul(&b).rem(m);
+            }
+            b = b.mul(&b).rem(m);
+        }
+        acc
+    }
+
     #[test]
     fn prop_modpow_montgomery_matches_schoolbook() {
+        // One context per odd modulus of 1–16 limbs, reused for several
+        // exponentiations: bases up to a limb wider than the modulus (the
+        // context reduces them) and exponents up to two limbs.
         let mut rng = SeededRandom::new(0xB1608);
         for case in 0..64 {
-            let m_limbs = 1 + (rng.next_u64() % 6) as usize;
-            let mut m = BigUint { limbs: (0..m_limbs).map(|_| rng.next_u64()).collect() };
-            m.limbs[0] |= 1; // force odd ⇒ Montgomery path
-            m.normalize();
+            let m_limbs = 1 + (rng.next_u64() % 16) as usize;
+            let mut m = random_limbs(&mut rng, m_limbs);
+            m = m.add(&BigUint::from_u64(u64::from(!m.is_odd()))); // force odd
             if m <= BigUint::one() {
                 continue;
             }
-            let base = BigUint { limbs: (0..m_limbs).map(|_| rng.next_u64()).collect() }
-                .add(&BigUint::zero());
-            let exp = BigUint::from_u64(rng.next_u64() % 512);
-            // Square-and-multiply with divisions, as a reference.
-            let mut expect = BigUint::one();
-            let mut b = base.rem(&m);
-            for i in 0..exp.bits() {
-                if exp.bit(i) {
-                    expect = expect.mul(&b).rem(&m);
-                }
-                b = b.mul(&b).rem(&m);
+            let mont = Montgomery::new(&m);
+            for round in 0..16 {
+                let base_limbs = 1 + (rng.next_u64() % (m_limbs as u64 + 1)) as usize;
+                let base = random_limbs(&mut rng, base_limbs);
+                let exp_limbs = (rng.next_u64() % 3) as usize;
+                let exp = random_limbs(&mut rng, exp_limbs);
+                let expect = schoolbook_modpow(&base, &exp, &m);
+                assert_eq!(mont.modpow(&base, &exp), expect, "case {case} round {round} m={m}");
+                assert_eq!(base.modpow(&exp, &m), expect, "case {case} round {round} one-shot");
             }
-            assert_eq!(base.modpow(&exp, &m), expect, "case {case} m={m}");
+        }
+    }
+
+    #[test]
+    fn montgomery_form_round_trips_and_multiplies() {
+        let mut rng = SeededRandom::new(0xB1609);
+        for _ in 0..64 {
+            let m_limbs = 1 + (rng.next_u64() % 16) as usize;
+            let mut m = random_limbs(&mut rng, m_limbs);
+            m = m.add(&BigUint::from_u64(u64::from(!m.is_odd())));
+            if m <= BigUint::one() {
+                continue;
+            }
+            let mont = Montgomery::new(&m);
+            let a = random_limbs(&mut rng, m_limbs).rem(&m);
+            let b = random_limbs(&mut rng, m_limbs).rem(&m);
+            let (am, bm) = (mont.enter(&a), mont.enter(&b));
+            assert_eq!(mont.leave(&am), a);
+            let mut out = vec![0xFFFF_FFFF_FFFF_FFFFu64; m_limbs + 1]; // stale output is overwritten
+            mont.mul(&am, &bm, &mut out);
+            assert_eq!(out[m_limbs], 0, "a finished product leaves the carry limb clear");
+            assert_eq!(mont.leave(&out), a.mul(&b).rem(&m));
+            assert_eq!(mont.leave(mont.one()), BigUint::one());
         }
     }
 

@@ -6,9 +6,10 @@
 //! modulus size is kept moderate so debug-mode tests stay fast (documented
 //! substitution — the protocol shape is unchanged).
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use crate::kdf::derive_key;
 use crate::rng::RandomSource;
+use std::sync::OnceLock;
 
 /// The 768-bit Oakley Group 1 safe prime (RFC 2409 §6.1), generator 2.
 /// A published safe prime keeps the handshake verifiable while the modulus
@@ -30,12 +31,17 @@ impl std::fmt::Debug for DhKeyPair {
     }
 }
 
-fn group_p() -> BigUint {
-    let bytes: Vec<u8> = (0..GROUP_P_HEX.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&GROUP_P_HEX[i..i + 2], 16).expect("valid hex"))
-        .collect();
-    BigUint::from_bytes_be(&bytes)
+/// The group prime's Montgomery context, parsed and built on first use and
+/// shared by every key generation and agreement in the process.
+fn group() -> &'static Montgomery {
+    static GROUP: OnceLock<Montgomery> = OnceLock::new();
+    GROUP.get_or_init(|| {
+        let bytes: Vec<u8> = (0..GROUP_P_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GROUP_P_HEX[i..i + 2], 16).expect("valid hex"))
+            .collect();
+        Montgomery::new(&BigUint::from_bytes_be(&bytes))
+    })
 }
 
 impl DhKeyPair {
@@ -45,7 +51,7 @@ impl DhKeyPair {
         rng.fill(&mut buf);
         buf[0] |= 0x40; // ensure a large exponent
         let private = BigUint::from_bytes_be(&buf);
-        let public = BigUint::from_u64(2).modpow(&private, &group_p());
+        let public = group().modpow(&BigUint::from_u64(2), &private);
         DhKeyPair { private, public }
     }
 
@@ -61,11 +67,10 @@ impl DhKeyPair {
     /// which would make the "shared secret" trivial.
     pub fn derive_session_key(&self, peer_public: &[u8]) -> Option<[u8; 16]> {
         let peer = BigUint::from_bytes_be(peer_public);
-        let p = group_p();
-        if peer <= BigUint::one() || peer >= p.sub(&BigUint::one()) {
+        if peer <= BigUint::one() || peer.add(&BigUint::one()) >= *group().modulus() {
             return None;
         }
-        let shared = peer.modpow(&self.private, &p);
+        let shared = group().modpow(&peer, &self.private);
         let key = derive_key(&shared.to_bytes_be(), "elide-channel", b"aes128", 16);
         Some(key.try_into().expect("16 bytes"))
     }
@@ -79,9 +84,9 @@ mod tests {
 
     #[test]
     fn group_prime_is_prime_and_safe() {
-        let p = group_p();
+        let p = group().modulus();
         let mut rng = SeededRandom::new(5);
-        assert!(is_probable_prime(&p, 8, &mut rng), "p must be prime");
+        assert!(is_probable_prime(p, 8, &mut rng), "p must be prime");
         let q = p.shr(1);
         assert!(is_probable_prime(&q, 8, &mut rng), "(p-1)/2 must be prime (safe prime)");
     }
@@ -114,7 +119,7 @@ mod tests {
         let kp = DhKeyPair::generate(&mut rng);
         assert!(kp.derive_session_key(&[0]).is_none());
         assert!(kp.derive_session_key(&[1]).is_none());
-        let p_minus_1 = group_p().sub(&BigUint::one()).to_bytes_be();
+        let p_minus_1 = group().modulus().sub(&BigUint::one()).to_bytes_be();
         assert!(kp.derive_session_key(&p_minus_1).is_none());
     }
 }

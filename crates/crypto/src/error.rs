@@ -17,6 +17,12 @@ pub enum CryptoError {
     BadSignature,
     /// A message was too large for the RSA modulus.
     MessageTooLarge,
+    /// A serialized key did not decode; carries the expected encoding.
+    MalformedKey(&'static str),
+    /// A freshly computed signature failed its own check against the public
+    /// key (a fault during signing, or factors that are not primes), so it
+    /// was withheld.
+    SignatureFault,
 }
 
 impl fmt::Display for CryptoError {
@@ -29,6 +35,8 @@ impl fmt::Display for CryptoError {
             }
             CryptoError::BadSignature => write!(f, "signature verification failed"),
             CryptoError::MessageTooLarge => write!(f, "message too large for modulus"),
+            CryptoError::MalformedKey(format) => write!(f, "malformed key: expected {format}"),
+            CryptoError::SignatureFault => write!(f, "signature failed its own verification"),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Probabilistic primality testing and prime generation (for RSA key
 //! generation in the SGX simulator's signing infrastructure).
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use crate::rng::RandomSource;
 
 /// Small primes used for trial division before Miller–Rabin.
@@ -25,24 +25,30 @@ pub fn is_probable_prime(n: &BigUint, rounds: usize, rng: &mut dyn RandomSource)
         }
     }
     // Write n-1 = d * 2^r.
-    let one = BigUint::one();
-    let n_minus_1 = n.sub(&one);
+    let n_minus_1 = n.sub(&BigUint::one());
     let mut d = n_minus_1.clone();
     let mut r = 0usize;
     while !d.is_odd() {
         d = d.shr(1);
         r += 1;
     }
+    // One context serves every round. Each witness stays in Montgomery
+    // form, where 1 and n-1 have one fixed (fully reduced) representation
+    // each, so the checks compare limbs without converting back.
+    let mont = Montgomery::new(n);
+    let minus_one = mont.enter(&n_minus_1);
+    let mut tmp = vec![0u64; minus_one.len()];
     'witness: for _ in 0..rounds {
         let a = random_below(&n_minus_1, rng);
         let a = if a < BigUint::from_u64(2) { BigUint::from_u64(2) } else { a };
-        let mut x = a.modpow(&d, n);
-        if x == one || x == n_minus_1 {
+        let mut x = mont.pow(&mont.enter(&a), &d);
+        if x == mont.one() || x == minus_one {
             continue;
         }
         for _ in 0..r.saturating_sub(1) {
-            x = x.mul(&x).rem(n);
-            if x == n_minus_1 {
+            mont.mul(&x, &x, &mut tmp);
+            std::mem::swap(&mut x, &mut tmp);
+            if x == minus_one {
                 continue 'witness;
             }
         }

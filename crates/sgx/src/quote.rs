@@ -211,6 +211,25 @@ mod tests {
     }
 
     #[test]
+    fn quote_with_a_padded_device_key_is_refused() {
+        // The registered key plus junk must not name the same device: the
+        // key encoding is canonical, like the quote around it.
+        let mut rng = SeededRandom::new(9);
+        let cpu = SgxCpu::new(&mut rng);
+        let qe = QuotingEnclave::provision(&cpu, &mut rng);
+        let mut ias = AttestationService::new();
+        ias.register_device(qe.device_public_key().clone());
+        let e = make_enclave(&cpu);
+        let report = ereport(&e, &TargetInfo { mrenclave: QE_MEASUREMENT }, [0u8; 64]).unwrap();
+        let mut quote = qe.quote(&report).unwrap();
+        ias.verify_quote(&quote).unwrap();
+        quote.device_key.extend_from_slice(&[0xEE; 4]);
+        assert_eq!(ias.verify_quote(&quote), Err(SgxError::BadQuote));
+        let reparsed = Quote::from_bytes(&quote.to_bytes()).unwrap();
+        assert_eq!(ias.verify_quote(&reparsed), Err(SgxError::BadQuote));
+    }
+
+    #[test]
     fn report_for_other_target_not_quotable() {
         let mut rng = SeededRandom::new(9);
         let cpu = SgxCpu::new(&mut rng);

@@ -150,8 +150,14 @@ impl PlatformFile {
             }
             let cpu = sgx_sim::SgxCpu::from_bytes(&bytes[4..52])
                 .ok_or_else(|| format!("{path}: bad cpu record"))?;
-            let qe = sgx_sim::quote::QuotingEnclave::from_bytes(&cpu, &bytes[52..])
-                .ok_or_else(|| format!("{path}: bad quoting enclave record"))?;
+            let qe = sgx_sim::quote::QuotingEnclave::from_bytes(&cpu, &bytes[52..]).ok_or_else(
+                || {
+                    format!(
+                        "{path}: bad quoting enclave record (expected {})",
+                        elide_crypto::rsa::KEY_PAIR_FORMAT
+                    )
+                },
+            )?;
             Ok(PlatformFile { cpu, qe })
         } else {
             let mut rng = elide_crypto::rng::OsRandom;

@@ -2,6 +2,9 @@
 //! command-line binaries: build → whitelist → sanitize → sign → server →
 //! run (restore + ecall) → sealed re-run.
 
+use elide_crypto::bignum::BigUint;
+use elide_crypto::rng::SeededRandom;
+use elide_crypto::rsa::{RsaKeyPair, KEY_PAIR_FORMAT};
 use std::fs;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -327,5 +330,71 @@ fn sanitized_enclave_is_unreadable() {
     let contains = |hay: &[u8]| hay.windows(4).any(|w| w == needle);
     assert!(contains(&original));
     assert!(!contains(&sanitized));
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Splits one `u32 LE length ‖ bytes` field off the front of `rest`.
+fn take_field<'a>(rest: &mut &'a [u8]) -> &'a [u8] {
+    let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+    let field = &rest[4..4 + len];
+    *rest = &rest[4 + len..];
+    field
+}
+
+/// Re-encodes a key pair in the older `public key ‖ d` layout.
+fn old_format_key(kp: &RsaKeyPair) -> Vec<u8> {
+    let bytes = kp.to_bytes();
+    let mut rest = bytes.as_slice();
+    let public = take_field(&mut rest);
+    let p = BigUint::from_bytes_be(take_field(&mut rest));
+    let q = BigUint::from_bytes_be(take_field(&mut rest));
+    let one = BigUint::one();
+    let phi = p.sub(&one).mul(&q.sub(&one));
+    let d = BigUint::from_u64(65537).modinv(&phi).unwrap().to_bytes_be();
+    let mut out = Vec::new();
+    for field in [public, &d] {
+        out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+        out.extend_from_slice(field);
+    }
+    out
+}
+
+/// Key files written in the older `public key ‖ d` layout are refused
+/// with an error that names the expected layout, never a panic: a vendor
+/// key handed to `elide-sign` and a quoting-enclave record in a platform
+/// file alike.
+#[test]
+fn old_format_key_files_are_refused_by_name() {
+    let dir = workdir("old-key");
+    fs::write(dir.join("guest.s"), GUEST).unwrap();
+    run("ev64-ld", &["--out", "enclave.so", "--elide", "--ecall", "get_magic", "guest.s"], &dir);
+    let kp = RsaKeyPair::generate(512, &mut SeededRandom::new(0x01D));
+    let old = old_format_key(&kp);
+    fs::write(dir.join("vendor.key"), &old).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_elide-sign"))
+        .args(["enclave.so", "--key", "vendor.key", "--out", "enclave.sig"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn elide-sign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a clean failure, not a panic:\n{stderr}");
+    assert!(stderr.contains(KEY_PAIR_FORMAT), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!dir.join("enclave.sig").exists());
+
+    let cpu = sgx_sim::SgxCpu::new(&mut SeededRandom::new(0x01E));
+    assert!(sgx_sim::quote::QuotingEnclave::from_bytes(&cpu, &old).is_none());
+    assert!(sgx_sim::quote::QuotingEnclave::from_bytes(&cpu, &kp.to_bytes()).is_some());
+    let mut platform = b"PLAT".to_vec();
+    platform.extend_from_slice(&cpu.to_bytes());
+    platform.extend_from_slice(&old);
+    let path = dir.join("platform.bin");
+    fs::write(&path, platform).unwrap();
+    let err = match elide_tools::PlatformFile::load_or_create(path.to_str().unwrap()) {
+        Ok(_) => panic!("an old-format quoting-enclave record must not load"),
+        Err(e) => e,
+    };
+    assert!(err.contains(KEY_PAIR_FORMAT), "{err}");
     fs::remove_dir_all(&dir).ok();
 }

@@ -13,6 +13,8 @@ use sgxelide::core::delegation::{
 };
 use sgxelide::core::meta::SecretMeta;
 use sgxelide::core::ticket::{TicketPlain, TICKET_PLAIN_LEN};
+use sgxelide::crypto::rng::SeededRandom;
+use sgxelide::crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use sgxelide::enclave::seal::SealedBlob;
 use sgxelide::sgx::quote::Quote;
 use sgxelide::sgx::report::Report;
@@ -44,6 +46,20 @@ fn quote_parses_canonically() {
         device_key: vec![9; 20],
     };
     assert_canonical("Quote", &q.to_bytes(), Quote::from_bytes);
+}
+
+#[test]
+fn rsa_public_key_parses_canonically() {
+    let kp = RsaKeyPair::generate(512, &mut SeededRandom::new(0x5791C7));
+    assert_canonical("RsaPublicKey", &kp.public_key().to_bytes(), |b| {
+        RsaPublicKey::from_bytes(b).ok()
+    });
+}
+
+#[test]
+fn rsa_key_pair_parses_canonically() {
+    let kp = RsaKeyPair::generate(512, &mut SeededRandom::new(0x5791C8));
+    assert_canonical("RsaKeyPair", &kp.to_bytes(), |b| RsaKeyPair::from_bytes(b).ok());
 }
 
 #[test]
