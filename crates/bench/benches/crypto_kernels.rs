@@ -2,7 +2,8 @@
 //! critical path: AES-CTR (GCM's bulk cipher), AES-GCM seal/open, GHASH
 //! (isolated via the AAD-only path), SHA-1/SHA-256 bulk and the
 //! EEXTEND-shaped many-tiny-updates stream, HMAC-SHA256, and the public-key
-//! operations (RSA key generation, SIGSTRUCT sign/verify, DH handshake).
+//! operations (RSA key generation, SIGSTRUCT sign/verify, DH key generation
+//! and agreement, the one-off DH group build and one handshake's DH pair).
 //!
 //! Emits `target/bench/BENCH_crypto_kernels.json`. Override the
 //! per-kernel buffer with `ELIDE_BENCH_KERNEL_MB` and the minimum timed
@@ -175,8 +176,13 @@ fn main() {
     });
     push("rsa512_verify", 0, iters, secs);
 
+    // The process's first key generation also builds the DH group: the
+    // prime's Montgomery context and generator 2's comb table. It is paid
+    // once per process, so it is one timed call, not a rate.
     let mut rng = SeededRandom::new(10);
+    let t0 = Instant::now();
     let server = DhKeyPair::generate(&mut rng);
+    push("dh_first_keygen", 0, 1, t0.elapsed().as_secs_f64());
     let client = DhKeyPair::generate(&mut rng);
     let client_pub = client.public_bytes();
     let (iters, secs) = time_kernel(min_seconds, || {
@@ -189,6 +195,18 @@ fn main() {
         std::hint::black_box(DhKeyPair::generate(&mut rng).public_bytes().len());
     });
     push("dh_keygen", 0, iters, secs);
+
+    // What one full handshake pays in DH: each side generates a key pair
+    // and derives the session key from the other's public value.
+    let mut rng = SeededRandom::new(12);
+    let (iters, secs) = time_kernel(min_seconds, || {
+        let server = DhKeyPair::generate(&mut rng);
+        let client = DhKeyPair::generate(&mut rng);
+        let k1 = server.derive_session_key(&client.public_bytes()).expect("in range");
+        let k2 = client.derive_session_key(&server.public_bytes()).expect("in range");
+        assert_eq!(k1, k2);
+    });
+    push("dh_handshake_pair", 0, iters, secs);
 
     let path = write_json("crypto_kernels", &records_json("crypto_kernels", &records))
         .expect("write json");

@@ -17,7 +17,7 @@ use crate::ticket::{now_ms, TicketPlain, MAX_CLOCK_SKEW_MS};
 use elide_crypto::rng::{OsRandom, RandomSource};
 use elide_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use sgx_sim::quote::{AttestationService, Quote};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
@@ -67,16 +67,11 @@ pub struct AuthServer {
 /// largest `ttl_ms + MAX_CLOCK_SKEW_MS` redeemed so far. An id lands in
 /// `current`; once a window has passed, `current` becomes `previous`, and
 /// a window later it is dropped. The set thus holds about two windows of
-/// redemptions instead of every redemption since start-up. Each id is kept
-/// as its first 8 bytes in a B-tree, which grows a node at a time (a hash
-/// set briefly holds its old and new table on every doubling). Ids are 128
-/// random bits, so a prefix collision (odds n/2^64) can only refuse a
-/// fresh ticket, never admit a replay, and a refused ticket costs its
-/// client a full handshake.
+/// redemptions instead of every redemption since start-up.
 #[derive(Default)]
 struct RedeemedTickets {
-    current: BTreeSet<u64>,
-    previous: BTreeSet<u64>,
+    current: IdSet,
+    previous: IdSet,
     rotated_ms: u64,
     window_ms: u64,
 }
@@ -89,8 +84,63 @@ impl RedeemedTickets {
             self.previous = std::mem::take(&mut self.current);
             self.rotated_ms = now;
         }
-        let key = u64::from_le_bytes(ticket.ticket_id[..8].try_into().expect("8 bytes"));
-        !self.previous.contains(&key) && self.current.insert(key)
+        !self.previous.contains(&ticket.ticket_id) && self.current.insert(&ticket.ticket_id)
+    }
+}
+
+/// Buckets of an [`IdSet`], picked by the top 10 bits of an id's prefix.
+const ID_BUCKETS: usize = 1 << 10;
+
+/// A set of ticket ids, each kept as a 42-bit prefix: the top 10 bits
+/// pick a bucket and the next 32 are stored in that bucket's sorted
+/// `Vec<u32>`. Ids are 128 random bits, so the buckets fill evenly, an
+/// insert shifts the tail of one small bucket, and an id costs about 6.5
+/// bytes with the buckets' spare room and the allocator's share (a
+/// `BTreeSet<u64>` of the first 8 bytes cost ~17 with its part-full
+/// nodes; a hash set briefly holds its old and new table on every
+/// doubling). A prefix collision (odds n/2^42) can only refuse a
+/// fresh ticket, never admit a replay, and a refused ticket costs its
+/// client a full handshake.
+#[derive(Default)]
+struct IdSet {
+    /// Empty until the first insert, then `ID_BUCKETS` sorted buckets.
+    buckets: Vec<Vec<u32>>,
+}
+
+impl IdSet {
+    /// The bucket and stored value of `id`.
+    fn locate(id: &[u8; 16]) -> (usize, u32) {
+        let prefix = u64::from_le_bytes(id[..8].try_into().expect("8 bytes"));
+        ((prefix >> 54) as usize, (prefix >> 22) as u32)
+    }
+
+    fn contains(&self, id: &[u8; 16]) -> bool {
+        let (index, value) = Self::locate(id);
+        self.buckets.get(index).is_some_and(|bucket| bucket.binary_search(&value).is_ok())
+    }
+
+    /// Adds `id`; false if it was already present.
+    fn insert(&mut self, id: &[u8; 16]) -> bool {
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(ID_BUCKETS, Vec::new);
+        }
+        let (index, value) = Self::locate(id);
+        let bucket = &mut self.buckets[index];
+        let Err(at) = bucket.binary_search(&value) else {
+            return false;
+        };
+        if bucket.len() == bucket.capacity() {
+            // Grow by an eighth, not by doubling, so at most an eighth of
+            // each bucket is spare.
+            bucket.reserve_exact(bucket.len() / 8 + 4);
+        }
+        bucket.insert(at, value);
+        true
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum()
     }
 }
 
@@ -391,6 +441,25 @@ mod tests {
             iv: [2; 12],
             tag: [3; 16],
         }
+    }
+
+    #[test]
+    fn id_set_holds_every_inserted_id_and_no_other() {
+        let mut rng = SeededRandom::new(0x1D5E7);
+        let mut draw = || {
+            let mut id = [0u8; 16];
+            rng.fill(&mut id);
+            id
+        };
+        let ids: Vec<[u8; 16]> = (0..20_000).map(|_| draw()).collect();
+        let mut set = IdSet::default();
+        assert!(!set.contains(&ids[0]), "an empty set holds nothing");
+        for id in &ids {
+            assert!(set.insert(id));
+        }
+        assert!(ids.iter().all(|id| set.contains(id) && !set.insert(id)));
+        assert_eq!(set.len(), ids.len());
+        assert!((0..20_000).all(|_| !set.contains(&draw())));
     }
 
     #[test]

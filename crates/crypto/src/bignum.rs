@@ -385,11 +385,11 @@ impl BigUint {
 
     /// Modular exponentiation: `self^exp mod m`.
     ///
-    /// Odd moduli — every RSA and DH modulus — take the Montgomery +
-    /// 4-bit fixed-window path through a context built for this one call
+    /// Goes through a [`Montgomery`] context built for this one call
     /// (callers that exponentiate repeatedly under one modulus keep a
-    /// context instead); even moduli fall back to the schoolbook
-    /// square-and-multiply with a division per step.
+    /// context instead): odd moduli of up to 16 limbs — every RSA and DH
+    /// modulus here — take the fixed-width CIOS multiply, and any other
+    /// modulus the schoolbook product with a division per step.
     ///
     /// # Panics
     ///
@@ -399,20 +399,7 @@ impl BigUint {
         if m == &BigUint::one() {
             return BigUint::zero();
         }
-        if m.is_odd() {
-            return Montgomery::new(m).modpow(self, exp);
-        }
-        let mut base = self.rem(m);
-        let mut result = BigUint::one();
-        for i in 0..exp.bits() {
-            if exp.bit(i) {
-                result = result.mul(&base).rem(m);
-            }
-            if i + 1 < exp.bits() {
-                base = base.mul(&base).rem(m);
-            }
-        }
-        result
+        Montgomery::new(m).modpow(self, exp)
     }
 
     /// Modular inverse via extended Euclid, if it exists.
@@ -442,8 +429,23 @@ impl BigUint {
     }
 }
 
-/// Montgomery context for one odd modulus: every reduction inside an
-/// exponentiation is a carry-propagating multiply (CIOS), never a division.
+/// Widest modulus, in limbs, with a fixed-width CIOS kernel: 1024 bits,
+/// which covers the RSA primes (4 limbs), the RSA-512 modulus (8) and the
+/// DH group prime (12).
+const MAX_CIOS_LIMBS: usize = 16;
+
+/// A context's multiply: `out = a·b·R⁻¹ mod n` (see [`Montgomery::mul`]).
+type MulKernel = fn(&Montgomery, &[u64], &[u64], &mut [u64]);
+
+/// The CIOS multiply for each modulus width 1..=16, indexed by width − 1.
+const CIOS: [MulKernel; MAX_CIOS_LIMBS] = [
+    cios::<1>, cios::<2>, cios::<3>, cios::<4>, cios::<5>, cios::<6>, cios::<7>, cios::<8>,
+    cios::<9>, cios::<10>, cios::<11>, cios::<12>, cios::<13>, cios::<14>, cios::<15>, cios::<16>,
+];
+
+/// Montgomery context for one modulus: for an odd modulus every reduction
+/// inside an exponentiation is a carry-propagating multiply (CIOS), never a
+/// division.
 /// Building one costs a Knuth division (`R² mod n`), so a context is made
 /// once per modulus and reused: the Diffie–Hellman group keeps one for the
 /// life of the process, an RSA key pair one per prime factor, and
@@ -453,38 +455,53 @@ impl BigUint {
 /// modulus) are fully reduced and live in `k + 1` limb buffers: the extra
 /// limb is the CIOS carry, zero again once a product is complete, so any
 /// such buffer can be the output of the next [`Montgomery::mul`].
+///
+/// The multiply is picked once, at construction, from the modulus: an odd
+/// modulus of `k ≤ 16` limbs gets the CIOS loop compiled for exactly `k`
+/// limbs. Any other modulus (even, or wider than 1024 bits: reachable only
+/// through [`BigUint::modpow`], a parsed key or a caller's prime search)
+/// gets `R = 1`, so its "Montgomery form" is the plain residue and its
+/// multiply is the schoolbook product and a Knuth division.
 #[derive(Clone)]
 pub(crate) struct Montgomery {
     /// The modulus `n`; its limbs are the ones reduced against.
     m: BigUint,
-    /// `-n[0]⁻¹ mod 2^64`.
+    /// `-n[0]⁻¹ mod 2^64` (unused when `R = 1`).
     n0: u64,
     /// `R² mod n`, padded to `k` limbs: the multiplier into Montgomery form.
     rr: Vec<u64>,
     /// `R mod n` (one in Montgomery form), padded to `k + 1` limbs.
     one: Vec<u64>,
+    /// The multiply for this modulus: a [`CIOS`] entry, or [`divide`].
+    kernel: MulKernel,
 }
 
 impl Montgomery {
     /// # Panics
     ///
-    /// Panics if `m` is even or < 3.
+    /// Panics if `m` < 2.
     pub(crate) fn new(m: &BigUint) -> Montgomery {
-        assert!(m.is_odd() && *m > BigUint::one(), "Montgomery needs an odd modulus > 1");
+        assert!(*m > BigUint::one(), "a modulus must exceed 1");
         let k = m.limbs.len();
-        let low = m.limbs[0];
-        // Newton's iteration doubles the valid low bits each round:
-        // 5 rounds take the trivial inverse mod 8 up to mod 2^64.
-        let mut inv = low; // low odd ⇒ self-inverse mod 8, seed for Newton
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(low.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(low.wrapping_mul(inv), 1);
-        let mut rr = BigUint::one().shl(128 * k).rem(m).limbs;
+        let (kernel, n0, r_bits) = match CIOS.get(k - 1) {
+            Some(&kernel) if m.is_odd() => {
+                let low = m.limbs[0];
+                // Newton's iteration doubles the valid low bits each round:
+                // 5 rounds take the trivial inverse mod 8 up to mod 2^64.
+                let mut inv = low; // low odd ⇒ self-inverse mod 8, seed for Newton
+                for _ in 0..5 {
+                    inv = inv.wrapping_mul(2u64.wrapping_sub(low.wrapping_mul(inv)));
+                }
+                debug_assert_eq!(low.wrapping_mul(inv), 1);
+                (kernel, inv.wrapping_neg(), 64 * k)
+            }
+            _ => (divide as MulKernel, 0, 0),
+        };
+        let mut rr = BigUint::one().shl(2 * r_bits).rem(m).limbs;
         rr.resize(k, 0);
-        let mut one = BigUint::one().shl(64 * k).rem(m).limbs;
+        let mut one = BigUint::one().shl(r_bits).rem(m).limbs;
         one.resize(k + 1, 0);
-        Montgomery { m: m.clone(), n0: inv.wrapping_neg(), rr, one }
+        Montgomery { m: m.clone(), n0, rr, one, kernel }
     }
 
     /// The modulus.
@@ -520,48 +537,16 @@ impl Montgomery {
         n
     }
 
-    /// `out = a·b·R⁻¹ mod n`, fully reduced: CIOS with the multiply and the
-    /// reduce step fused into one pass per limb of `a`. Reads the low `k`
-    /// limbs of `a` and `b` (`b` must be below `n`, which every Montgomery
-    /// form value is); `out` is `k + 1` limbs and leaves with its top limb
-    /// zero.
+    /// `out = a·b·R⁻¹ mod n`, fully reduced. Reads the low `k` limbs of `a`
+    /// and `b` (`b` must be below `n`, which every Montgomery form value
+    /// is); `out` is `k + 1` limbs and leaves with its top limb zero.
     pub(crate) fn mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        let n = &self.m.limbs[..];
-        let k = n.len();
-        let (a, b, t) = (&a[..k], &b[..k], &mut out[..=k]);
-        t.fill(0);
-        for &ai in a {
-            // Limb 0 fixes the reduction multiplier `m` that makes the
-            // running sum divisible by 2^64; every later limb adds both
-            // products and shifts down one limb in the same step.
-            let s = t[0] as u128 + ai as u128 * b[0] as u128;
-            let mut c1 = s >> 64;
-            let m = (s as u64).wrapping_mul(self.n0);
-            let mut c2 = ((s as u64) as u128 + m as u128 * n[0] as u128) >> 64;
-            for j in 1..k {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + c1;
-                c1 = s >> 64;
-                let s = (s as u64) as u128 + m as u128 * n[j] as u128 + c2;
-                c2 = s >> 64;
-                t[j - 1] = s as u64;
-            }
-            let s = t[k] as u128 + c1 + c2;
-            t[k - 1] = s as u64;
-            t[k] = (s >> 64) as u64;
-        }
-        // CIOS keeps t < 2n, so at most one final subtraction. When the
-        // carry limb t[k] is set, the low limbs borrow, and the borrow
-        // exactly cancels the carry limb (t < 2n means t[k] is 0 or 1).
-        if t[k] != 0 || !limbs_lt(&t[..k], n) {
-            let borrow = limbs_sub_assign(&mut t[..k], n);
-            debug_assert_eq!(t[k], borrow);
-            t[k] = 0;
-        }
+        (self.kernel)(self, a, b, out)
     }
 
     /// `base^exp` with both ends in Montgomery form, by a 4-bit fixed
     /// window. The window table and the two ping-pong accumulators are the
-    /// only buffers; no product allocates.
+    /// only buffers; no CIOS product allocates.
     pub(crate) fn pow(&self, base: &[u64], exp: &BigUint) -> Vec<u64> {
         let k = self.m.limbs.len();
         let windows = exp.bits().div_ceil(4);
@@ -600,6 +585,135 @@ impl Montgomery {
     pub(crate) fn modpow(&self, x: &BigUint, exp: &BigUint) -> BigUint {
         self.leave(&self.pow(&self.enter(x), exp))
     }
+}
+
+/// Teeth of the fixed-base comb: bits `i·32 + j` for `i < 8` share column `j`.
+const COMB_TEETH: usize = 8;
+/// Columns of the fixed-base comb: one squaring each, 8 × 32 = 256 bits.
+const COMB_COLUMNS: usize = 32;
+
+/// Lim–Lee fixed-base comb: `base^x` for exponents of up to 256 bits in
+/// 31 squarings and at most 32 multiplies, against ~256 squarings and ~64
+/// multiplies for the variable-base window. The exponent's bits are laid
+/// out as 8 rows (teeth) of 32 columns; column `j` picks the product of
+/// `base^(2^(32i))` over the teeth `i` whose bit `32i + j` is set, and
+/// those 256 products are computed once, when the comb is built.
+#[derive(Clone)]
+pub(crate) struct Comb {
+    /// `table[v·k..(v+1)·k]` = `∏ base^(2^(32i))` over the set bits `i`
+    /// of `v`, in the context's Montgomery form (`k` limbs each).
+    table: Vec<u64>,
+}
+
+impl Comb {
+    /// Builds the table for `base` under `mont`: 224 squarings and 255
+    /// multiplies, once.
+    pub(crate) fn new(mont: &Montgomery, base: &BigUint) -> Comb {
+        let k = mont.m.limbs.len();
+        let mut table = vec![0u64; k << COMB_TEETH];
+        table[..k].copy_from_slice(&mont.one[..k]);
+        let mut tooth = mont.enter(base);
+        let mut tmp = vec![0u64; k + 1];
+        for i in 0..COMB_TEETH {
+            if i > 0 {
+                for _ in 0..COMB_COLUMNS {
+                    mont.mul(&tooth, &tooth, &mut tmp);
+                    std::mem::swap(&mut tooth, &mut tmp);
+                }
+            }
+            // `tooth` is now base^(2^(32i)): every entry whose top set bit
+            // is `i` is an entry below 2^i times it.
+            for v in 0..1 << i {
+                mont.mul(&table[v * k..(v + 1) * k], &tooth, &mut tmp);
+                let at = ((1 << i) + v) * k;
+                table[at..at + k].copy_from_slice(&tmp[..k]);
+            }
+        }
+        Comb { table }
+    }
+
+    /// `base^exp mod n` under the context the comb was built with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp` is wider than 256 bits or `mont` has a different
+    /// width from the comb's.
+    pub(crate) fn pow(&self, mont: &Montgomery, exp: &BigUint) -> BigUint {
+        assert!(exp.bits() <= COMB_TEETH * COMB_COLUMNS, "comb exponents are at most 256 bits");
+        let k = mont.m.limbs.len();
+        assert_eq!(self.table.len(), k << COMB_TEETH, "comb built under another modulus");
+        let column = |j: usize| {
+            (0..COMB_TEETH).fold(0, |v, i| v | usize::from(exp.bit(COMB_COLUMNS * i + j)) << i)
+        };
+        let mut acc = mont.one.clone();
+        let mut tmp = vec![0u64; k + 1];
+        for j in (0..COMB_COLUMNS).rev() {
+            if j + 1 < COMB_COLUMNS {
+                mont.mul(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            let v = column(j);
+            if v != 0 {
+                mont.mul(&acc, &self.table[v * k..(v + 1) * k], &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        mont.leave(&acc)
+    }
+}
+
+/// CIOS Montgomery multiply for a `K`-limb modulus, with the multiply and
+/// the reduce step fused into one pass per limb of `a`. `K` is a constant,
+/// so the running sum lives in a fixed array and every loop has a known
+/// trip count.
+fn cios<const K: usize>(ctx: &Montgomery, a: &[u64], b: &[u64], out: &mut [u64]) {
+    let n: &[u64; K] = ctx.m.limbs[..].try_into().expect("context built for K limbs");
+    let a: &[u64; K] = a[..K].try_into().expect("K limbs");
+    let b: &[u64; K] = b[..K].try_into().expect("K limbs");
+    let mut t = [0u64; K];
+    let mut top = 0u64;
+    for &ai in a {
+        // Limb 0 fixes the reduction multiplier `m` that makes the
+        // running sum divisible by 2^64; every later limb adds both
+        // products and shifts down one limb in the same step.
+        let s = t[0] as u128 + ai as u128 * b[0] as u128;
+        let mut c1 = s >> 64;
+        let m = (s as u64).wrapping_mul(ctx.n0);
+        let mut c2 = ((s as u64) as u128 + m as u128 * n[0] as u128) >> 64;
+        for j in 1..K {
+            let s = t[j] as u128 + ai as u128 * b[j] as u128 + c1;
+            c1 = s >> 64;
+            let s = (s as u64) as u128 + m as u128 * n[j] as u128 + c2;
+            c2 = s >> 64;
+            t[j - 1] = s as u64;
+        }
+        let s = top as u128 + c1 + c2;
+        t[K - 1] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    // CIOS keeps t < 2n, so at most one final subtraction. When the
+    // carry limb is set, the low limbs borrow, and the borrow exactly
+    // cancels the carry limb (t < 2n means it is 0 or 1).
+    if top != 0 || !limbs_lt(&t, n) {
+        let borrow = limbs_sub_assign(&mut t, n);
+        debug_assert_eq!(top, borrow);
+    }
+    out[..K].copy_from_slice(&t);
+    out[K] = 0;
+}
+
+/// The multiply of an `R = 1` context (a modulus no CIOS width covers):
+/// `out = a·b mod n` by the schoolbook product and a Knuth division.
+fn divide(ctx: &Montgomery, a: &[u64], b: &[u64], out: &mut [u64]) {
+    let k = ctx.m.limbs.len();
+    let operand = |x: &[u64]| {
+        let mut n = BigUint { limbs: x[..k].to_vec() };
+        n.normalize();
+        n
+    };
+    let product = operand(a).mul(&operand(b)).rem(&ctx.m);
+    out[..=k].fill(0);
+    out[..product.limbs.len()].copy_from_slice(&product.limbs);
 }
 
 /// `a < b` over equal-length little-endian limb slices.
@@ -857,10 +971,12 @@ mod tests {
     fn prop_modpow_montgomery_matches_schoolbook() {
         // One context per odd modulus of 1–16 limbs, reused for several
         // exponentiations: bases up to a limb wider than the modulus (the
-        // context reduces them) and exponents up to two limbs.
+        // context reduces them) and exponents up to two limbs. Every CIOS
+        // width runs at least once.
         let mut rng = SeededRandom::new(0xB1608);
+        let mut widths = [false; MAX_CIOS_LIMBS];
         for case in 0..64 {
-            let m_limbs = 1 + (rng.next_u64() % 16) as usize;
+            let m_limbs = 1 + case % MAX_CIOS_LIMBS;
             let mut m = random_limbs(&mut rng, m_limbs);
             m = m.add(&BigUint::from_u64(u64::from(!m.is_odd()))); // force odd
             if m <= BigUint::one() {
@@ -876,6 +992,27 @@ mod tests {
                 assert_eq!(mont.modpow(&base, &exp), expect, "case {case} round {round} m={m}");
                 assert_eq!(base.modpow(&exp, &m), expect, "case {case} round {round} one-shot");
             }
+            widths[m_limbs - 1] = true;
+        }
+        assert_eq!(widths, [true; MAX_CIOS_LIMBS], "a CIOS width went untested");
+    }
+
+    #[test]
+    fn modpow_by_division_matches_schoolbook() {
+        // Even moduli and odd moduli of 17–20 limbs have no CIOS kernel:
+        // their contexts reduce by division.
+        let mut rng = SeededRandom::new(0xB160A);
+        let cases =
+            (1..=20).map(|limbs| (limbs, false)).chain((17..=20).map(|limbs| (limbs, true)));
+        for (m_limbs, odd) in cases {
+            let mut m = random_limbs(&mut rng, m_limbs);
+            if m.is_odd() != odd {
+                m = m.add(&BigUint::one());
+            }
+            let base = random_limbs(&mut rng, m_limbs + 1);
+            let exp = random_limbs(&mut rng, 2);
+            let expect = schoolbook_modpow(&base, &exp, &m);
+            assert_eq!(base.modpow(&exp, &m), expect, "{m_limbs} limbs, odd {odd}");
         }
     }
 

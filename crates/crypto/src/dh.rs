@@ -6,7 +6,7 @@
 //! modulus size is kept moderate so debug-mode tests stay fast (documented
 //! substitution — the protocol shape is unchanged).
 
-use crate::bignum::{BigUint, Montgomery};
+use crate::bignum::{BigUint, Comb, Montgomery};
 use crate::kdf::derive_key;
 use crate::rng::RandomSource;
 use std::sync::OnceLock;
@@ -31,16 +31,24 @@ impl std::fmt::Debug for DhKeyPair {
     }
 }
 
-/// The group prime's Montgomery context, parsed and built on first use and
+/// The fixed group: the prime's Montgomery context and generator 2's comb
+/// table (256 entries, 24 KiB), parsed and built together on first use and
 /// shared by every key generation and agreement in the process.
-fn group() -> &'static Montgomery {
-    static GROUP: OnceLock<Montgomery> = OnceLock::new();
+struct DhGroup {
+    p: Montgomery,
+    g: Comb,
+}
+
+fn group() -> &'static DhGroup {
+    static GROUP: OnceLock<DhGroup> = OnceLock::new();
     GROUP.get_or_init(|| {
         let bytes: Vec<u8> = (0..GROUP_P_HEX.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&GROUP_P_HEX[i..i + 2], 16).expect("valid hex"))
             .collect();
-        Montgomery::new(&BigUint::from_bytes_be(&bytes))
+        let p = Montgomery::new(&BigUint::from_bytes_be(&bytes));
+        let g = Comb::new(&p, &BigUint::from_u64(2));
+        DhGroup { p, g }
     })
 }
 
@@ -51,7 +59,8 @@ impl DhKeyPair {
         rng.fill(&mut buf);
         buf[0] |= 0x40; // ensure a large exponent
         let private = BigUint::from_bytes_be(&buf);
-        let public = group().modpow(&BigUint::from_u64(2), &private);
+        let group = group();
+        let public = group.g.pow(&group.p, &private);
         DhKeyPair { private, public }
     }
 
@@ -67,10 +76,10 @@ impl DhKeyPair {
     /// which would make the "shared secret" trivial.
     pub fn derive_session_key(&self, peer_public: &[u8]) -> Option<[u8; 16]> {
         let peer = BigUint::from_bytes_be(peer_public);
-        if peer <= BigUint::one() || peer.add(&BigUint::one()) >= *group().modulus() {
+        if peer <= BigUint::one() || peer.add(&BigUint::one()) >= *group().p.modulus() {
             return None;
         }
-        let shared = group().modpow(&peer, &self.private);
+        let shared = group().p.modpow(&peer, &self.private);
         let key = derive_key(&shared.to_bytes_be(), "elide-channel", b"aes128", 16);
         Some(key.try_into().expect("16 bytes"))
     }
@@ -80,15 +89,35 @@ impl DhKeyPair {
 mod tests {
     use super::*;
     use crate::prime::is_probable_prime;
-    use crate::rng::SeededRandom;
+    use crate::rng::{RandomSource, SeededRandom};
 
     #[test]
     fn group_prime_is_prime_and_safe() {
-        let p = group().modulus();
+        let p = group().p.modulus();
         let mut rng = SeededRandom::new(5);
         assert!(is_probable_prime(p, 8, &mut rng), "p must be prime");
         let q = p.shr(1);
         assert!(is_probable_prime(&q, 8, &mut rng), "(p-1)/2 must be prime (safe prime)");
+    }
+
+    #[test]
+    fn comb_matches_variable_base_modpow() {
+        let DhGroup { p, g } = group();
+        let two = BigUint::from_u64(2);
+        let one = BigUint::one();
+        // Edges, every single bit (each tooth i of each column j, bit
+        // 32i + j, alone), then seeded full-width exponents.
+        let mut exps = vec![BigUint::zero(), one.clone(), one.shl(256).sub(&one)];
+        exps.extend((0..256).map(|bit| one.shl(bit)));
+        let mut rng = SeededRandom::new(0xC0B);
+        exps.extend((0..256).map(|_| {
+            let mut buf = [0u8; 32];
+            rng.fill(&mut buf);
+            BigUint::from_bytes_be(&buf)
+        }));
+        for x in &exps {
+            assert_eq!(g.pow(p, x), p.modpow(&two, x), "x = {x}");
+        }
     }
 
     #[test]
@@ -119,7 +148,7 @@ mod tests {
         let kp = DhKeyPair::generate(&mut rng);
         assert!(kp.derive_session_key(&[0]).is_none());
         assert!(kp.derive_session_key(&[1]).is_none());
-        let p_minus_1 = group().modulus().sub(&BigUint::one()).to_bytes_be();
+        let p_minus_1 = group().p.modulus().sub(&BigUint::one()).to_bytes_be();
         assert!(kp.derive_session_key(&p_minus_1).is_none());
     }
 }

@@ -356,6 +356,21 @@ mod tests {
     }
 
     #[test]
+    fn parsed_2048_bit_key_verifies_without_panicking() {
+        // A 2048-bit modulus is 32 limbs, wider than any CIOS kernel, so
+        // verification (and the signer's own check) reduce by division.
+        let kp = RsaKeyPair::generate(2048, &mut SeededRandom::new(0x2048));
+        let public = RsaPublicKey::from_bytes(&kp.public_key().to_bytes()).unwrap();
+        let sig = kp.sign(b"wide").unwrap();
+        assert_eq!(sig.len(), 256);
+        assert_eq!(public.verify(b"wide", &sig), Ok(()));
+        let mut bad = sig.clone();
+        bad[100] ^= 1;
+        assert_eq!(public.verify(b"wide", &bad), Err(CryptoError::BadSignature));
+        assert_eq!(public.verify(b"other", &sig), Err(CryptoError::BadSignature));
+    }
+
+    #[test]
     fn keypair_serialization_roundtrip() {
         let kp = test_keypair();
         let bytes = kp.to_bytes();

@@ -230,41 +230,63 @@ impl Sha256 {
     }
 }
 
+/// One SHA-256 round with the working variables named in rotated order:
+/// rather than shifting eight values each round, the next round is written
+/// with the names shifted by one. `Ch` is `g ^ (e & (f ^ g))` and `Maj`
+/// is `(a & b) ^ (c & (a ^ b))`, the two-AND forms of FIPS 180-4 §4.1.2.
+macro_rules! round256 {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+        let ch = $g ^ ($e & ($f ^ $g));
+        let t1 = $h.wrapping_add(s1).wrapping_add(ch).wrapping_add($kw);
+        let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+        let maj = ($a & $b) ^ ($c & ($a ^ $b));
+        $d = $d.wrapping_add(t1);
+        $h = t1.wrapping_add(s0).wrapping_add(maj);
+    };
+}
+
 fn compress256(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    // A rolling 16-word message schedule: before each group of 16 rounds
+    // after the first, w[i] advances in place from W[t - 16] to W[t].
+    // Updating in order i = 0..15 means every w[(i + x) & 15] it reads
+    // already holds W[t - 16 + x].
+    let mut w = [0u32; 16];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
     }
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K256[i]).wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
+    for (group, k) in K256.chunks_exact(16).enumerate() {
+        if group > 0 {
+            for i in 0..16 {
+                let w15 = w[(i + 1) & 15];
+                let w2 = w[(i + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[i] = w[i].wrapping_add(s0).wrapping_add(w[(i + 9) & 15]).wrapping_add(s1);
+            }
+        }
+        let kw = |i: usize| k[i].wrapping_add(w[i]);
+        round256!(a, b, c, d, e, f, g, h, kw(0));
+        round256!(h, a, b, c, d, e, f, g, kw(1));
+        round256!(g, h, a, b, c, d, e, f, kw(2));
+        round256!(f, g, h, a, b, c, d, e, kw(3));
+        round256!(e, f, g, h, a, b, c, d, kw(4));
+        round256!(d, e, f, g, h, a, b, c, kw(5));
+        round256!(c, d, e, f, g, h, a, b, kw(6));
+        round256!(b, c, d, e, f, g, h, a, kw(7));
+        round256!(a, b, c, d, e, f, g, h, kw(8));
+        round256!(h, a, b, c, d, e, f, g, kw(9));
+        round256!(g, h, a, b, c, d, e, f, kw(10));
+        round256!(f, g, h, a, b, c, d, e, kw(11));
+        round256!(e, f, g, h, a, b, c, d, kw(12));
+        round256!(d, e, f, g, h, a, b, c, kw(13));
+        round256!(c, d, e, f, g, h, a, b, kw(14));
+        round256!(b, c, d, e, f, g, h, a, kw(15));
     }
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
 }
 
 /// Incremental SHA-512 hasher (also provides SHA-384).
