@@ -68,14 +68,16 @@ fn main() {
         }
     }
 
+    // Record first, then gate: a run that fails the claim below still
+    // leaves its measurements behind.
+    let path =
+        write_json("epc_pressure", &records_json("epc_pressure", &records)).expect("write json");
+    println!("\nwrote {}", path.display());
+
     // The headline claim: at 4x oversubscription a warm start (sealed
     // fast path) must beat the cold full-handshake launch by >= 5x.
     for r in records.iter().filter(|r| r.build == "elide" && r.factor == 4) {
         let s = r.speedup();
         assert!(s >= 5.0, "{}: warm-start speedup {s:.2}x < 5x at 4x oversubscription", r.app);
     }
-
-    let path =
-        write_json("epc_pressure", &records_json("epc_pressure", &records)).expect("write json");
-    println!("\nwrote {}", path.display());
 }

@@ -6,7 +6,8 @@
 //! pages enclave memory like any other. This module models that regime:
 //! [`EpcBudget::enforce`] evicts least-recently-used victims (ordered by
 //! the access stamps [`Enclave`] maintains on every load, store and
-//! execute entry) until the enclave fits its cap, and
+//! execute entry while a budget is armed) until the enclave fits its cap,
+//! and
 //! [`EpcBudget::page_in`] transparently reloads an evicted page on the
 //! next touch. Sealed blobs stay versioned, so a rollback of an evicted
 //! page is detected exactly as in explicit paging.
@@ -145,6 +146,33 @@ impl EpcBudget {
                 }
             }
         }
+    }
+
+    /// Arms this budget on `enclave`: captures the clean backing, turns on
+    /// the enclave's per-access LRU stamping, and enforces the cap.
+    /// Returns the number of pages evicted. Accesses made before arming
+    /// left no stamps, so this first enforcement orders pages by their
+    /// `EADD` and reload stamps alone.
+    ///
+    /// # Errors
+    ///
+    /// Propagates paging errors from the enforcement, leaving the
+    /// enclave's stamping as it was before the call.
+    pub fn arm(&mut self, enclave: &mut Enclave) -> Result<usize, SgxError> {
+        self.capture_backing(enclave);
+        let was_stamping = enclave.stamps_accesses();
+        enclave.set_access_stamping(true);
+        let evicted = self.enforce(enclave);
+        if evicted.is_err() {
+            enclave.set_access_stamping(was_stamping);
+        }
+        evicted
+    }
+
+    /// Disarms this budget from `enclave`: guest accesses stop stamping
+    /// pages. The budget keeps its evicted blobs.
+    pub fn disarm(&self, enclave: &mut Enclave) {
+        enclave.set_access_stamping(false);
     }
 
     /// Evicts one victim: a clean drop if its backing snapshot is still
@@ -303,14 +331,30 @@ mod tests {
     #[test]
     fn lru_victim_ordering() {
         let (mut e, mut rng) = setup(4);
-        // Touch pages 1..4, leaving page 0 coldest.
-        for i in 1..4u64 {
-            e.load_prim(BASE + i * PAGE_SIZE, 1).unwrap();
-        }
+        // Unstamped accesses leave the EADD order: page 0 is coldest.
+        e.load_prim(BASE, 1).unwrap();
+        assert_eq!(e.coldest_resident_page(), Some(0));
+        // With stamping on (as an armed budget sets it), touching pages
+        // 0, 2 and 3 leaves page 1 coldest.
+        e.set_access_stamping(true);
+        e.load_prim(BASE, 1).unwrap();
+        e.store_prim(BASE + 2 * PAGE_SIZE, 1, 9).unwrap();
+        e.load_prim(BASE + 3 * PAGE_SIZE, 1).unwrap();
         let mut b = EpcBudget::new(3, &mut rng);
         b.enforce(&mut e).unwrap();
-        assert!(b.has_evicted(0), "coldest page (0) must be the victim");
+        assert!(b.has_evicted(PAGE_SIZE), "coldest page (1) must be the victim");
         assert_eq!(e.resident_reg_pages(), 3);
+    }
+
+    #[test]
+    fn arming_turns_stamping_on_and_disarming_off() {
+        let (mut e, mut rng) = setup(4);
+        assert!(!e.stamps_accesses());
+        let mut b = EpcBudget::new(4, &mut rng);
+        assert_eq!(b.arm(&mut e).unwrap(), 0);
+        assert!(e.stamps_accesses());
+        b.disarm(&mut e);
+        assert!(!e.stamps_accesses());
     }
 
     #[test]

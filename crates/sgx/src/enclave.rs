@@ -86,6 +86,7 @@ impl SgxCpu {
             page_gens: vec![0; slots],
             access_stamps: vec![0; slots],
             access_clock: 0,
+            stamp_accesses: false,
             epoch: 0,
             measurement: Some(Measurement::ecreate(size)),
             mrenclave: [0; 32],
@@ -108,13 +109,19 @@ pub struct Enclave {
     /// restore, or eviction touching the page. The interpreter's decode
     /// cache uses them for icache-style invalidation.
     page_gens: Vec<u64>,
-    /// Per-page access stamps (same indexing): moved on every load, store
-    /// and execute entry touching the page. Unlike `page_gens` these never
-    /// invalidate anything — they only order pages by recency so the EPC
-    /// budget ([`crate::budget::EpcBudget`]) can pick LRU eviction victims.
+    /// Per-page access stamps (same indexing): moved by `EADD`, reloads,
+    /// and — while `stamp_accesses` is set — every load, store and execute
+    /// entry touching the page. Unlike `page_gens` these never invalidate
+    /// anything — they only order pages by recency so the EPC budget
+    /// ([`crate::budget::EpcBudget`]) can pick LRU eviction victims.
     access_stamps: Vec<u64>,
     /// Monotonic source for access stamps.
     access_clock: u64,
+    /// Whether guest accesses stamp their page. Owned by the EPC budget:
+    /// [`crate::budget::EpcBudget::arm`] sets it and
+    /// [`crate::budget::EpcBudget::disarm`] clears it, so an enclave
+    /// without a budget pays nothing for LRU order it never uses.
+    stamp_accesses: bool,
     /// Monotonic source for generation stamps.
     epoch: u64,
     measurement: Option<Measurement>,
@@ -396,31 +403,25 @@ impl Enclave {
     /// whenever the fast conditions do not hold — page-crossing access,
     /// absent page, missing read permission, pre-`EINIT` — and the caller
     /// falls back to [`Enclave::read_into`] for the exact typed error.
-    #[inline]
+    #[inline(always)]
     pub fn load_prim(&mut self, vaddr: u64, size: usize) -> Option<u64> {
         debug_assert!(size <= 8);
-        if !self.initialized {
-            return None;
-        }
         let off = vaddr.wrapping_sub(self.base);
-        if off >= self.size {
-            return None;
-        }
         let within = (off % PAGE_SIZE) as usize;
-        if within + size > PAGE_SIZE as usize {
+        if !self.initialized || within + size > PAGE_SIZE as usize {
             return None;
         }
-        let idx = (off / PAGE_SIZE) as usize;
-        self.access_clock += 1;
-        self.access_stamps[idx] = self.access_clock;
-        let page = self.pages[idx].as_ref()?;
+        // `pages` has exactly one slot per ELRANGE page, so the slot
+        // lookup doubles as the ELRANGE bounds check.
+        let idx = usize::try_from(off / PAGE_SIZE).ok()?;
+        let page = self.pages.get(idx)?.as_ref()?;
         if !page.perms.readable() {
             return None;
         }
         // Fixed-width reads: a runtime-length copy here compiles to a
         // `memcpy` call, which dominates the cost of every guest load.
         let d = &page.data[within..within + size];
-        Some(match size {
+        let value = match size {
             1 => d[0] as u64,
             2 => u16::from_le_bytes([d[0], d[1]]) as u64,
             4 => u32::from_le_bytes([d[0], d[1], d[2], d[3]]) as u64,
@@ -430,33 +431,27 @@ impl Enclave {
                 buf[..size].copy_from_slice(d);
                 u64::from_le_bytes(buf)
             }
-        })
+        };
+        if self.stamp_accesses {
+            self.touch_idx(idx);
+        }
+        Some(value)
     }
 
     /// Single-access fast path behind guest stores; mirror of
     /// [`Enclave::load_prim`]. Keeps the write-side architectural
     /// obligations: the page generation moves exactly as in
     /// [`Enclave::write`], so decode/translation caches stay coherent.
-    /// Returns the page's **new** generation stamp, which the VM's data
-    /// TLB uses to keep its write-through copy vouched-for.
-    #[inline]
-    pub fn store_prim(&mut self, vaddr: u64, size: usize, value: u64) -> Option<u64> {
+    #[inline(always)]
+    pub fn store_prim(&mut self, vaddr: u64, size: usize, value: u64) -> Option<()> {
         debug_assert!(size <= 8);
-        if !self.initialized {
-            return None;
-        }
         let off = vaddr.wrapping_sub(self.base);
-        if off >= self.size {
-            return None;
-        }
         let within = (off % PAGE_SIZE) as usize;
-        if within + size > PAGE_SIZE as usize {
+        if !self.initialized || within + size > PAGE_SIZE as usize {
             return None;
         }
-        let idx = (off / PAGE_SIZE) as usize;
-        self.access_clock += 1;
-        self.access_stamps[idx] = self.access_clock;
-        let page = self.pages[idx].as_mut()?;
+        let idx = usize::try_from(off / PAGE_SIZE).ok()?;
+        let page = self.pages.get_mut(idx)?.as_mut()?;
         if !page.perms.writable() {
             return None;
         }
@@ -473,7 +468,10 @@ impl Enclave {
         }
         self.epoch += 1;
         self.page_gens[idx] = self.epoch;
-        Some(self.epoch)
+        if self.stamp_accesses {
+            self.touch_idx(idx);
+        }
+        Some(())
     }
 
     /// Borrowed view of the whole resident page containing `vaddr`, with
@@ -665,16 +663,42 @@ impl Enclave {
 
     /// Records an execute access to the page containing `vaddr` for LRU
     /// accounting. Called by the runtime on superblock/decode-cache entry;
-    /// a no-op for addresses outside ELRANGE.
+    /// a no-op for addresses outside ELRANGE and while no EPC budget is
+    /// armed.
     #[inline]
     pub fn note_exec(&mut self, vaddr: u64) {
+        if !self.stamp_accesses {
+            return;
+        }
         let Some(off) = vaddr.checked_sub(self.base) else { return };
         if off >= self.size {
             return;
         }
+        self.touch_idx((off / PAGE_SIZE) as usize);
+    }
+
+    /// Turns per-access LRU stamping on or off; see `stamp_accesses`.
+    pub(crate) fn set_access_stamping(&mut self, on: bool) {
+        self.stamp_accesses = on;
+    }
+
+    /// Whether loads, stores and execute entries currently stamp their
+    /// page for LRU order (true exactly while an EPC budget is armed).
+    pub fn stamps_accesses(&self) -> bool {
+        self.stamp_accesses
+    }
+
+    /// The LRU access stamp of the resident page containing `vaddr`
+    /// (larger is more recent), or `None` for absent pages and addresses
+    /// outside ELRANGE.
+    pub fn access_stamp(&self, vaddr: u64) -> Option<u64> {
+        let off = vaddr.checked_sub(self.base)?;
+        if off >= self.size {
+            return None;
+        }
         let idx = (off / PAGE_SIZE) as usize;
-        self.access_clock += 1;
-        self.access_stamps[idx] = self.access_clock;
+        self.pages[idx].as_ref()?;
+        Some(self.access_stamps[idx])
     }
 
     /// Number of resident `Reg` pages — the population the EPC budget

@@ -7,7 +7,7 @@
 
 use crate::dcache::DecodeCache;
 use crate::isa::{Instr, Opcode, INSTR_SIZE, NUM_REGS, REG_SP};
-use crate::mem::{Bus, DTlb, VmFault, CODE_PAGE_SIZE};
+use crate::mem::{Bus, VmFault, CODE_PAGE_SIZE};
 use crate::trans::TransCache;
 
 /// Why execution returned to the host.
@@ -97,8 +97,6 @@ pub struct Vm {
     pub dcache: DecodeCache,
     /// Superblock cache layered over the decode cache.
     pub trans: TransCache,
-    /// Software data TLB serving the load/store fast path in both engines.
-    pub dtlb: DTlb,
     /// Which execution tier [`Vm::run`] drives.
     pub engine: Engine,
     /// Execution-tier counters.
@@ -114,7 +112,6 @@ impl Vm {
             retired: 0,
             dcache: DecodeCache::new(),
             trans: TransCache::new(),
-            dtlb: DTlb::new(),
             engine: Engine::default(),
             stats: ExecStats::default(),
         }
@@ -141,11 +138,6 @@ impl Vm {
     ///
     /// Returns the first [`VmFault`] raised.
     pub fn run<B: Bus + ?Sized>(&mut self, bus: &mut B, fuel: u64) -> Result<Exit, VmFault> {
-        // Memory may have changed since the last run (ecall input staging,
-        // ocall handlers writing guest buffers): drop stale data-TLB
-        // entries once per entry. Within a run, coherence is maintained by
-        // write-through stores and the post-intrinsic revalidation.
-        self.dtlb.revalidate(bus);
         match self.engine {
             Engine::Superblock => crate::trans::run_superblock(self, bus, fuel),
             Engine::Interp => match self.run_interp(bus, fuel, false) {
@@ -315,7 +307,7 @@ impl Vm {
                         _ => 8,
                     };
                     let ea = r[instr.b as usize].wrapping_add(imm_s);
-                    r[instr.a as usize] = self.dtlb.load(bus, ea, size)?;
+                    r[instr.a as usize] = bus.load(ea, size)?;
                 }
                 St8 | St16 | St32 | St64 => {
                     let size = match instr.op {
@@ -325,7 +317,7 @@ impl Vm {
                         _ => 8,
                     };
                     let ea = r[instr.b as usize].wrapping_add(imm_s);
-                    self.dtlb.store(bus, ea, size, r[instr.a as usize])?;
+                    bus.store(ea, size, r[instr.a as usize])?;
                     revalidate = true;
                 }
                 Jmp => next = next.wrapping_add(imm_s),
@@ -346,7 +338,7 @@ impl Vm {
                 }
                 Call => {
                     let sp = r[REG_SP as usize].wrapping_sub(8);
-                    self.dtlb.store(bus, sp, 8, next)?;
+                    bus.store(sp, 8, next)?;
                     self.regs[REG_SP as usize] = sp;
                     next = next.wrapping_add(imm_s);
                     revalidate = true;
@@ -354,14 +346,14 @@ impl Vm {
                 Callr => {
                     let target = r[instr.b as usize];
                     let sp = r[REG_SP as usize].wrapping_sub(8);
-                    self.dtlb.store(bus, sp, 8, next)?;
+                    bus.store(sp, 8, next)?;
                     self.regs[REG_SP as usize] = sp;
                     next = target;
                     revalidate = true;
                 }
                 Ret => {
                     let sp = r[REG_SP as usize];
-                    next = self.dtlb.load(bus, sp, 8)?;
+                    next = bus.load(sp, 8)?;
                     self.regs[REG_SP as usize] = sp.wrapping_add(8);
                 }
                 Ldpc => r[instr.a as usize] = next,
@@ -373,9 +365,8 @@ impl Vm {
                 Intrin => {
                     self.pc = next;
                     let extra = bus.intrinsic(instr.imm, &mut self.regs)?;
-                    // Intrinsics write guest memory directly: both caches
-                    // must re-check their generations.
-                    self.dtlb.revalidate(bus);
+                    // Intrinsics write guest memory directly: the decode
+                    // cache must re-check its generation.
                     revalidate = true;
                     if extra > 0 {
                         // Bulk intrinsics charge fuel proportional to the

@@ -180,55 +180,6 @@ pub trait Bus {
         Err(VmFault::Unmapped { addr: page_addr, access: Access::Execute })
     }
 
-    /// Stores like [`Bus::store`], and additionally reports the new
-    /// data-page generation when the store stayed within one aligned page
-    /// *and* the bus can stamp that page (`Ok(Some(gen))`). `Ok(None)`
-    /// means the store succeeded but the page cannot be tracked — any
-    /// cached copy of the touched page(s) must be dropped.
-    ///
-    /// This is the write-through half of the software data TLB ([`DTlb`]):
-    /// the bus stays authoritative for permissions and side effects, the
-    /// TLB only mirrors bytes it is told remain coherent.
-    ///
-    /// # Errors
-    ///
-    /// Faults exactly as [`Bus::store`] would.
-    fn store_in_page(
-        &mut self,
-        addr: u64,
-        size: usize,
-        value: u64,
-    ) -> Result<Option<u64>, VmFault> {
-        self.store(addr, size, value)?;
-        Ok(None)
-    }
-
-    /// Generation stamp of the aligned *data* page at `page_addr`, or
-    /// `None` if the bus cannot promise coherence for it. The contract
-    /// mirrors [`Bus::exec_page_generation`] but for reads/writes: as long
-    /// as later calls keep returning the same `g`, the page's bytes and
-    /// read permission are unchanged, so a cached copy may serve loads
-    /// without touching the bus. Any write reaching the page and any
-    /// mapping change (EWB/ELDU, permission change) must move it.
-    fn data_page_generation(&mut self, page_addr: u64) -> Option<u64> {
-        let _ = page_addr;
-        None
-    }
-
-    /// Copies the whole aligned data page at `page_addr` into `buf` after a
-    /// single read-permission check, returning its generation stamp, or
-    /// `None` if the page is not cacheable (unmapped, not fully readable,
-    /// or the bus cannot stamp it — e.g. under an armed EPC budget where
-    /// pages may be evicted behind the TLB's back).
-    fn data_page(
-        &mut self,
-        page_addr: u64,
-        buf: &mut [u8; CODE_PAGE_SIZE as usize],
-    ) -> Option<u64> {
-        let _ = (page_addr, buf);
-        None
-    }
-
     /// Bulk read used by intrinsics; default loops over byte loads.
     ///
     /// # Errors
@@ -256,10 +207,11 @@ pub trait Bus {
 }
 
 /// Fixed-width little-endian read of `size` bytes (1/2/4/8) from the front
-/// of `d`, zero-extended. Shared by [`FlatMemory`] and the [`DTlb`] hit
-/// path.
+/// of `d`, zero-extended: one constant-length copy per width instead of a
+/// runtime-length `memcpy`, for buses serving guest loads from a flat byte
+/// array.
 #[inline]
-pub(crate) fn read_le_prim(d: &[u8], size: usize) -> u64 {
+pub fn read_le_prim(d: &[u8], size: usize) -> u64 {
     match size {
         1 => d[0] as u64,
         2 => u16::from_le_bytes([d[0], d[1]]) as u64,
@@ -275,9 +227,10 @@ pub(crate) fn read_le_prim(d: &[u8], size: usize) -> u64 {
     }
 }
 
-/// Fixed-width little-endian write of the low `size` bytes of `value`.
+/// Fixed-width little-endian write of the low `size` bytes of `value`;
+/// the store-side mirror of [`read_le_prim`].
 #[inline]
-pub(crate) fn write_le_prim(d: &mut [u8], size: usize, value: u64) {
+pub fn write_le_prim(d: &mut [u8], size: usize, value: u64) {
     let le = value.to_le_bytes();
     match size {
         1 => d[0] = le[0],
@@ -390,43 +343,6 @@ impl Bus for FlatMemory {
         Ok(())
     }
 
-    fn store_in_page(
-        &mut self,
-        addr: u64,
-        size: usize,
-        value: u64,
-    ) -> Result<Option<u64>, VmFault> {
-        self.store(addr, size, value)?;
-        // Stampable only when the store stayed within one aligned page.
-        if size > 0 && addr / CODE_PAGE_SIZE == (addr + size as u64 - 1) / CODE_PAGE_SIZE {
-            Ok(Some(self.epoch))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn data_page_generation(&mut self, page_addr: u64) -> Option<u64> {
-        // Same cacheability rule as code pages: the whole page must lie
-        // inside the region.
-        let off = page_addr.checked_sub(self.base)?;
-        let end = off.checked_add(CODE_PAGE_SIZE)?;
-        if end > self.data.len() as u64 {
-            return None;
-        }
-        Some(self.epoch)
-    }
-
-    fn data_page(
-        &mut self,
-        page_addr: u64,
-        buf: &mut [u8; CODE_PAGE_SIZE as usize],
-    ) -> Option<u64> {
-        let gen = self.data_page_generation(page_addr)?;
-        let off = (page_addr - self.base) as usize;
-        buf.copy_from_slice(&self.data[off..off + CODE_PAGE_SIZE as usize]);
-        Some(gen)
-    }
-
     /// The bulk memory intrinsics (MEMCPY/MEMSET/MEMCMP), so VM-level
     /// tests can exercise the intrinsic paths — argument validation, fuel
     /// charging, engine parity — without a full enclave world. The crypto
@@ -482,226 +398,6 @@ impl Bus for FlatMemory {
             }
             _ => Err(VmFault::BadIntrinsic { index }),
         }
-    }
-}
-
-/// Number of entries in the software data TLB. Direct-mapped by page
-/// index; must be a power of two.
-pub const DTLB_ENTRIES: usize = 8;
-
-/// One resident TLB line: a private copy of a guest data page plus the
-/// generation stamp the bus vouched for it under.
-#[derive(Clone)]
-struct DTlbEntry {
-    /// Page base address (aligned to [`CODE_PAGE_SIZE`]).
-    page: u64,
-    /// Generation the copy is coherent with ([`Bus::data_page_generation`]).
-    gen: u64,
-    /// The page bytes as of `gen`, kept exact by write-through.
-    data: Box<[u8; CODE_PAGE_SIZE as usize]>,
-}
-
-/// A small software TLB over [`Bus`] data accesses — the safe replacement
-/// for the raw-pointer fast path the workspace's `unsafe`-free rule
-/// rejects.
-///
-/// Loads that hit a resident entry resolve with one tag compare and a
-/// fixed-width slice read, skipping the bus's page-table walk and
-/// permission checks (which were validated once at fill time and are
-/// guaranteed unchanged by the generation contract). Stores always write
-/// through to the bus first — it stays authoritative for permissions,
-/// `os_readonly` windows and side effects — and the entry copy is either
-/// updated in place (when [`Bus::store_in_page`] vouches a new generation)
-/// or dropped.
-///
-/// Coherence invariant: an entry `(page, gen, data)` exists only while
-/// `bus.data_page_generation(page) == Some(gen)` implies the page bytes
-/// equal `data`. The engines uphold it by (a) routing every guest store
-/// through [`DTlb::store`], and (b) calling [`DTlb::revalidate`] at every
-/// point where memory may have changed behind the engine's back: run
-/// entry (host writes between ecalls/ocalls) and after every intrinsic
-/// (service intrinsics write guest memory). EWB/ELDU paging is handled by
-/// the bus refusing to stamp pages while an EPC budget is armed, so no
-/// entry can exist for an evictable page.
-#[derive(Clone)]
-pub struct DTlb {
-    entries: [Option<DTlbEntry>; DTLB_ENTRIES],
-    /// Page address of the last missing load per slot: a page is only
-    /// promoted after two consecutive misses on its slot, so two pages
-    /// alternating in one slot degrade to plain bus loads instead of
-    /// ping-ponging 4 KiB fills.
-    last_miss: [u64; DTLB_ENTRIES],
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for DTlb {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for DTlb {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let resident: Vec<u64> = self.entries.iter().flatten().map(|e| e.page).collect();
-        f.debug_struct("DTlb")
-            .field("resident", &resident)
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .finish()
-    }
-}
-
-impl DTlb {
-    /// An empty TLB.
-    pub fn new() -> Self {
-        DTlb {
-            entries: Default::default(),
-            last_miss: [u64::MAX; DTLB_ENTRIES],
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    #[inline]
-    fn slot(page: u64) -> usize {
-        (page / CODE_PAGE_SIZE) as usize & (DTLB_ENTRIES - 1)
-    }
-
-    /// Loads through the TLB; falls back to [`Bus::load`] on miss (and
-    /// tries to promote the page for next time).
-    ///
-    /// # Errors
-    ///
-    /// Faults exactly as the underlying [`Bus::load`] would.
-    #[inline]
-    pub fn load<B: Bus + ?Sized>(
-        &mut self,
-        bus: &mut B,
-        addr: u64,
-        size: usize,
-    ) -> Result<u64, VmFault> {
-        let page = addr & !(CODE_PAGE_SIZE - 1);
-        let off = (addr - page) as usize;
-        if off + size <= CODE_PAGE_SIZE as usize {
-            let slot = Self::slot(page);
-            if let Some(e) = &self.entries[slot] {
-                if e.page == page {
-                    self.hits += 1;
-                    return Ok(read_le_prim(&e.data[off..], size));
-                }
-            }
-            self.misses += 1;
-            if self.last_miss[slot] == page {
-                // Second consecutive miss on this slot for the same page:
-                // promote it. Reuse the evicted line's allocation if any.
-                let mut data = match self.entries[slot].take() {
-                    Some(e) => e.data,
-                    None => Box::new([0u8; CODE_PAGE_SIZE as usize]),
-                };
-                if let Some(gen) = bus.data_page(page, &mut data) {
-                    let value = read_le_prim(&data[off..], size);
-                    self.entries[slot] = Some(DTlbEntry { page, gen, data });
-                    return Ok(value);
-                }
-            } else {
-                self.last_miss[slot] = page;
-            }
-        }
-        bus.load(addr, size)
-    }
-
-    /// Stores write-through: the bus performs (and checks) the store, then
-    /// the cached copy is patched in place or dropped.
-    ///
-    /// # Errors
-    ///
-    /// Faults exactly as the underlying [`Bus::store`] would; the affected
-    /// entries are dropped on fault so a partially applied bus store can
-    /// never leave a stale copy behind.
-    #[inline]
-    pub fn store<B: Bus + ?Sized>(
-        &mut self,
-        bus: &mut B,
-        addr: u64,
-        size: usize,
-        value: u64,
-    ) -> Result<(), VmFault> {
-        let result = bus.store_in_page(addr, size, value);
-        let page = addr & !(CODE_PAGE_SIZE - 1);
-        let off = (addr - page) as usize;
-        match result {
-            Ok(Some(gen)) if off + size <= CODE_PAGE_SIZE as usize => {
-                let slot = Self::slot(page);
-                if let Some(e) = &mut self.entries[slot] {
-                    if e.page == page {
-                        write_le_prim(&mut e.data[off..], size, value);
-                        e.gen = gen;
-                    }
-                }
-                Ok(())
-            }
-            other => {
-                // Untracked, page-crossing, or faulted: drop every entry
-                // the store may have touched.
-                self.invalidate_range(addr, size as u64);
-                other.map(|_| ())
-            }
-        }
-    }
-
-    /// Drops entries overlapping `[addr, addr + len)`.
-    fn invalidate_range(&mut self, addr: u64, len: u64) {
-        let first = addr & !(CODE_PAGE_SIZE - 1);
-        let last = addr.saturating_add(len.saturating_sub(1)) & !(CODE_PAGE_SIZE - 1);
-        let mut page = first;
-        loop {
-            let slot = Self::slot(page);
-            if let Some(e) = &self.entries[slot] {
-                if e.page >= first && e.page <= last {
-                    self.entries[slot] = None;
-                }
-            }
-            if page >= last {
-                break;
-            }
-            page += CODE_PAGE_SIZE;
-        }
-    }
-
-    /// Re-checks every resident entry's generation against the bus and
-    /// drops stale ones. Called at run entry and after intrinsics — the
-    /// two points where guest memory may change without going through
-    /// [`DTlb::store`].
-    pub fn revalidate<B: Bus + ?Sized>(&mut self, bus: &mut B) {
-        for e in &mut self.entries {
-            let stale = match e {
-                Some(entry) => bus.data_page_generation(entry.page) != Some(entry.gen),
-                None => false,
-            };
-            if stale {
-                *e = None;
-            }
-        }
-    }
-
-    /// Drops every entry (used when the coherence regime changes, e.g.
-    /// arming an EPC budget).
-    pub fn flush(&mut self) {
-        for e in &mut self.entries {
-            *e = None;
-        }
-        self.last_miss = [u64::MAX; DTLB_ENTRIES];
-    }
-
-    /// Loads served from a resident entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Loads that had to fall back to the bus (fills included).
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 

@@ -33,7 +33,7 @@
 use crate::dcache::INSTRS_PER_PAGE;
 use crate::interp::{Exit, InterpOutcome, Vm};
 use crate::isa::{Instr, Opcode, INSTR_SIZE, NUM_REGS, REG_SP};
-use crate::mem::{Bus, DTlb, VmFault, CODE_PAGE_SIZE};
+use crate::mem::{Bus, VmFault, CODE_PAGE_SIZE};
 
 const PAGE_MASK: u64 = CODE_PAGE_SIZE - 1;
 
@@ -1045,7 +1045,6 @@ fn exec_block<B: Bus + ?Sized>(
     page: u64,
     watch: u64,
     r: &mut [u64; NUM_REGS],
-    dtlb: &mut DTlb,
     bus: &mut B,
 ) -> BlockExit {
     use LKind::*;
@@ -1098,7 +1097,7 @@ fn exec_block<B: Bus + ?Sized>(
             Add32i => r[a] = (r[b] as u32).wrapping_add(op.imm as u32) as u64,
             Ld => {
                 let ea = r[b].wrapping_add(op.imm);
-                match dtlb.load(bus, ea, (op.sz & 0xF) as usize) {
+                match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
                     Err(fault) => {
                         let at = page + op.off as u64 * INSTR_SIZE;
@@ -1109,7 +1108,7 @@ fn exec_block<B: Bus + ?Sized>(
             St => {
                 let ea = r[b].wrapping_add(op.imm);
                 let size = (op.sz & 0xF) as u64;
-                if let Err(fault) = dtlb.store(bus, ea, size as usize, r[a]) {
+                if let Err(fault) = bus.store(ea, size as usize, r[a]) {
                     let at = page + op.off as u64 * INSTR_SIZE;
                     return BlockExit::Fault { fault, at, consumed: done + 1 };
                 }
@@ -1123,7 +1122,7 @@ fn exec_block<B: Bus + ?Sized>(
             LdSt => {
                 let size = op.sz as u64;
                 let lea = r[b].wrapping_add(op.imm);
-                match dtlb.load(bus, lea, size as usize) {
+                match bus.load(lea, size as usize) {
                     Ok(v) => r[a] = v,
                     Err(fault) => {
                         let at = page + op.off as u64 * INSTR_SIZE;
@@ -1131,7 +1130,7 @@ fn exec_block<B: Bus + ?Sized>(
                     }
                 }
                 let sea = r[c].wrapping_add(op.aux);
-                if let Err(fault) = dtlb.store(bus, sea, size as usize, r[a]) {
+                if let Err(fault) = bus.store(sea, size as usize, r[a]) {
                     let at = page + (op.off as u64 + 1) * INSTR_SIZE;
                     return BlockExit::Fault { fault, at, consumed: done + 2 };
                 }
@@ -1144,7 +1143,7 @@ fn exec_block<B: Bus + ?Sized>(
             }
             LdXor => {
                 let ea = r[b].wrapping_add(op.imm);
-                match dtlb.load(bus, ea, op.sz as usize) {
+                match bus.load(ea, op.sz as usize) {
                     Ok(v) => {
                         r[a] = v;
                         r[c] ^= v;
@@ -1165,7 +1164,7 @@ fn exec_block<B: Bus + ?Sized>(
                 // The load is the op's last source instruction.
                 let lead = op.retire as u64 - 1;
                 let ea = t.wrapping_add(op.imm);
-                match dtlb.load(bus, ea, (op.sz & 0xF) as usize) {
+                match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
                     Err(fault) => {
                         let at = page + (op.off as u64 + lead) * INSTR_SIZE;
@@ -1182,7 +1181,7 @@ fn exec_block<B: Bus + ?Sized>(
                 r[c] = s;
                 let lead = op.retire as u64 - 1;
                 let ea = s.wrapping_add(op.imm);
-                match dtlb.load(bus, ea, (op.sz & 0xF) as usize) {
+                match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
                     Err(fault) => {
                         let at = page + (op.off as u64 + lead) * INSTR_SIZE;
@@ -1206,7 +1205,7 @@ fn exec_block<B: Bus + ?Sized>(
                 r[d] = s;
                 let lead = 2u64;
                 let ea = s.wrapping_add(op.imm);
-                match dtlb.load(bus, ea, (op.sz & 0xF) as usize) {
+                match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
                     Err(fault) => {
                         let at = page + (op.off as u64 + lead) * INSTR_SIZE;
@@ -1234,7 +1233,7 @@ fn exec_block<B: Bus + ?Sized>(
                 // The store base is read after the xor write (it may alias).
                 let ea = r[(op.sz >> 4) as usize].wrapping_add(op.aux);
                 let size = (op.sz & 0xF) as u64;
-                if let Err(fault) = dtlb.store(bus, ea, size as usize, v) {
+                if let Err(fault) = bus.store(ea, size as usize, v) {
                     let at = page + (op.off as u64 + 1) * INSTR_SIZE;
                     return BlockExit::Fault { fault, at, consumed: done + 2 };
                 }
@@ -1257,7 +1256,7 @@ fn exec_block<B: Bus + ?Sized>(
             }
             LdAdd32 => {
                 let ea = r[b].wrapping_add(op.imm);
-                match dtlb.load(bus, ea, (op.sz & 0xF) as usize) {
+                match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => {
                         r[a] = v;
                         r[c] = (r[c] as u32).wrapping_add(v as u32) as u64;
@@ -1272,7 +1271,7 @@ fn exec_block<B: Bus + ?Sized>(
             HCall => {
                 let ret = page + (op.off as u64 + 1) * INSTR_SIZE;
                 let sp = r[REG_SP as usize].wrapping_sub(8);
-                if let Err(fault) = dtlb.store(bus, sp, 8, ret) {
+                if let Err(fault) = bus.store(sp, 8, ret) {
                     let at = page + op.off as u64 * INSTR_SIZE;
                     return BlockExit::Fault { fault, at, consumed: done + 1 };
                 }
@@ -1284,7 +1283,7 @@ fn exec_block<B: Bus + ?Sized>(
             }
             RetHop => {
                 let sp = r[REG_SP as usize];
-                match dtlb.load(bus, sp, 8) {
+                match bus.load(sp, 8) {
                     Ok(v) => {
                         r[REG_SP as usize] = sp.wrapping_add(8);
                         if v != op.imm {
@@ -1331,7 +1330,7 @@ fn exec_block<B: Bus + ?Sized>(
                 let ret = page + (op.off as u64 + 1) * INSTR_SIZE;
                 let target = if op.kind == TCall { op.imm } else { r[b] };
                 let sp = r[REG_SP as usize].wrapping_sub(8);
-                if let Err(fault) = dtlb.store(bus, sp, 8, ret) {
+                if let Err(fault) = bus.store(sp, 8, ret) {
                     let at = page + op.off as u64 * INSTR_SIZE;
                     return BlockExit::Fault { fault, at, consumed: done + 1 };
                 }
@@ -1343,7 +1342,7 @@ fn exec_block<B: Bus + ?Sized>(
             }
             TRet => {
                 let sp = r[REG_SP as usize];
-                match dtlb.load(bus, sp, 8) {
+                match bus.load(sp, 8) {
                     Ok(v) => {
                         r[REG_SP as usize] = sp.wrapping_add(8);
                         return BlockExit::Seq { next: v, probe: false, consumed: done + 1 };
@@ -1507,7 +1506,7 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
             fuel -= cost;
             vm.stats.blocks_entered += 1;
             let block = &vm.trans.slots[slot].blocks[block_id as usize];
-            match exec_block(&block.ops, page, watch, &mut vm.regs, &mut vm.dtlb, bus) {
+            match exec_block(&block.ops, page, watch, &mut vm.regs, bus) {
                 BlockExit::Seq { next, probe, consumed } => {
                     fuel += cost - consumed;
                     vm.retired += consumed;
@@ -1524,10 +1523,8 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
                     vm.retired += consumed + extra;
                     vm.stats.trans_retired += consumed + extra;
                     vm.pc = next;
-                    // The intrinsic may have written guest memory: drop
-                    // stale TLB entries, then charge the bulk fuel exactly
-                    // like the interpreter (post-work, effects committed).
-                    vm.dtlb.revalidate(bus);
+                    // Charge the bulk fuel exactly like the interpreter
+                    // (post-work, effects committed).
                     if fuel < extra {
                         return Err(VmFault::OutOfFuel);
                     }

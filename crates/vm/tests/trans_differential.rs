@@ -80,7 +80,7 @@ fn gen_program(rng: &mut Rng, n: usize, cfg: &GenCfg) -> Vec<Instr> {
             prog.push(Instr::new(Illegal, 0, 0, 0, 0));
         } else if roll < cfg.self_mod + cfg.illegal + cfg.intrin {
             // Bulk intrinsic. Pinned-valid args exercise the happy path
-            // (chunked copies, fuel charging, TLB revalidation); raw
+            // (chunked copies, fuel charging, decode-cache revalidation); raw
             // register garbage exercises the typed-fault path. Either way
             // both engines must land on the identical outcome.
             if rng.below(2) == 0 && prog.len() + 4 <= n {
@@ -342,8 +342,10 @@ fn intrinsic_programs_agree() {
     }
 }
 
-/// The data-TLB is write-through: a store to a page promoted into the TLB
-/// must be visible to the very next load, under both engines.
+/// A store must be visible to the very next load, under both engines. The
+/// two leading loads are the pattern that once promoted DATA's page into a
+/// copying data TLB; loads and stores now share one path over the bus, and
+/// the test keeps that path honest.
 #[test]
 fn dtlb_write_through_is_coherent() {
     use Opcode::*;
@@ -367,9 +369,11 @@ fn dtlb_write_through_is_coherent() {
     }
 }
 
-/// A bulk intrinsic that rewrites a TLB-promoted page bumps the page
-/// generation; the post-intrinsic revalidation must drop the stale entry
-/// so the next load reads the fresh bytes.
+/// A bulk intrinsic that rewrites a page the guest has just loaded from
+/// must leave nothing stale behind: the next load reads the fresh bytes.
+/// The two leading loads are the pattern that once promoted the page into
+/// a copying data TLB, which then had to be revalidated after every
+/// intrinsic; loads now read the bus directly.
 #[test]
 fn intrinsic_stores_invalidate_cached_pages() {
     use Opcode::*;
