@@ -13,7 +13,10 @@
 //! Each repetition is timed separately and the **minimum** per-rep time is
 //! reported: on shared machines the distribution is one-sided (interference
 //! only ever adds time), so the minimum is the most stable estimate of the
-//! engine's actual speed.
+//! engine's actual speed. An app's three builds run on three runtimes timed
+//! in alternation ([`best_of_alternating`], the sampler `exec_gate` uses), so
+//! the ratios between an app's rows — which the gate tracks — see the same
+//! host phases.
 //!
 //! Emits `target/bench/BENCH_exec_throughput.json`; `exec_gate` compares
 //! against the tracked repo-root copy, which a change updates by hand.
@@ -23,37 +26,12 @@
 //! Plain-main harness (`cargo bench --bench exec_throughput`).
 
 use elide_apps::harness::{launch_plain, launch_protected};
-use elide_apps::run_workload;
-use elide_bench::{records_json, write_json, BenchRecord};
+use elide_bench::{best_of_alternating, records_json, write_json, BenchRecord};
 use elide_core::sanitizer::DataPlacement;
-use elide_enclave::EnclaveRuntime;
 use elide_vm::interp::Engine;
-use std::collections::HashMap;
-use std::time::Instant;
 
-/// Times `reps` workload repetitions and returns the record built from the
-/// fastest one (instructions are identical across reps by construction).
-fn time_workload(
-    name: &'static str,
-    build: &'static str,
-    rt: &mut EnclaveRuntime,
-    indices: &HashMap<String, u64>,
-    reps: usize,
-) -> BenchRecord {
-    run_workload(name, rt, indices); // warmup
-    let mut best = f64::INFINITY;
-    let mut instructions = 0;
-    for _ in 0..reps {
-        let base = rt.retired_total();
-        let t0 = Instant::now();
-        run_workload(name, rt, indices);
-        let seconds = t0.elapsed().as_secs_f64();
-        instructions = rt.retired_total() - base;
-        if seconds < best {
-            best = seconds;
-        }
-    }
-    BenchRecord { name: name.to_string(), build, instructions, seconds: best }
+fn record(name: &str, build: &'static str, (seconds, instructions): (f64, u64)) -> BenchRecord {
+    BenchRecord { name: name.to_string(), build, instructions, seconds }
 }
 
 fn print_rec(rec: &BenchRecord) {
@@ -95,25 +73,31 @@ fn main() {
     println!("{:<14} {:>8} {:>14} {:>10} {:>10}", "app", "build", "instructions", "ms", "mips");
 
     for app in &apps {
-        // Plain build, interpreter engine: the pre-translation baseline.
+        // Plain build under the interpreter (the pre-translation baseline)
+        // and under superblocks, and the SgxElide build after an untimed
+        // launch + restore, superblocks.
+        let mut i = launch_plain(app, 42).expect("launch");
+        i.runtime.set_engine(Engine::Interp);
         let mut p = launch_plain(app, 42).expect("launch");
-        p.runtime.set_engine(Engine::Interp);
-        let rec = time_workload(app.name, "interp", &mut p.runtime, &p.indices, reps);
-        print_rec(&rec);
-        records.push(rec);
-
-        // Same build and enclave, superblock engine.
-        p.runtime.set_engine(Engine::Superblock);
-        let rec = time_workload(app.name, "plain", &mut p.runtime, &p.indices, reps);
-        print_rec(&rec);
-        records.push(rec);
-
-        // SgxElide build: launch + restore untimed, same timed region.
-        let mut p = launch_protected(app, DataPlacement::Remote, 42).expect("launch");
-        p.restore().expect("restore");
-        let rec = time_workload(app.name, "elide", &mut p.app.runtime, &p.indices, reps);
-        print_rec(&rec);
-        records.push(rec);
+        let mut e = launch_protected(app, DataPlacement::Remote, 42).expect("launch");
+        e.restore().expect("restore");
+        let [interp, plain, elide] = best_of_alternating(
+            app.name,
+            [
+                (&mut i.runtime, &i.indices),
+                (&mut p.runtime, &p.indices),
+                (&mut e.app.runtime, &e.indices),
+            ],
+            reps,
+        );
+        for rec in [
+            record(app.name, "interp", interp),
+            record(app.name, "plain", plain),
+            record(app.name, "elide", elide),
+        ] {
+            print_rec(&rec);
+            records.push(rec);
+        }
     }
 
     // Intrinsic-off ("soft") rows for the bulk-intrinsic apps: same
@@ -126,9 +110,9 @@ fn main() {
         let variants: [Variant; 2] =
             [(json_app::app_with, "JSON"), (merkle_app::app_with, "Merkle")];
         for (build, name) in variants {
-            let soft = build(false);
-            let mut p = launch_plain(&soft, 42).expect("launch");
-            let rec = time_workload(name, "soft", &mut p.runtime, &p.indices, reps);
+            let mut p = launch_plain(&build(false), 42).expect("launch");
+            let [soft] = best_of_alternating(name, [(&mut p.runtime, &p.indices)], reps);
+            let rec = record(name, "soft", soft);
             print_rec(&rec);
             records.push(rec);
         }

@@ -13,6 +13,7 @@ use elide_core::sanitizer::{sanitize, DataPlacement};
 use elide_core::whitelist::Whitelist;
 use elide_crypto::rng::SeededRandom;
 use elide_elf::ElfFile;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Mean and standard deviation of a sample, in milliseconds.
@@ -227,6 +228,39 @@ pub fn figure_apps() -> Vec<App> {
     vec![aes_app::app(), des_app::app(), sha1_app::app(), shas_app::app(), crackme::app()]
 }
 
+/// One timed arm of [`best_of_alternating`]: a launched runtime and the
+/// ecall indices its workload calls.
+pub type Arm<'a> = (&'a mut elide_enclave::runtime::EnclaveRuntime, &'a HashMap<String, u64>);
+
+/// The one sampling rule of the throughput benches and `exec_gate`: runs
+/// workload `name` once per arm as a discarded warm-up, then `reps` rounds
+/// in which the arms take turns, and returns each arm's best-of-`reps`
+/// (seconds, retired instructions). The host's speed drifts in phases
+/// (the same arm can read twice as fast a second later), so arms that are
+/// compared are timed in the same rounds: a slow phase lands on every arm
+/// rather than on one, and their ratio holds. The instruction count is
+/// identical across reps by construction.
+pub fn best_of_alternating<const N: usize>(
+    name: &str,
+    mut arms: [Arm<'_>; N],
+    reps: usize,
+) -> [(f64, u64); N] {
+    for (rt, indices) in arms.iter_mut() {
+        run_workload(name, rt, indices);
+    }
+    let mut best = [(f64::INFINITY, 0); N];
+    for _ in 0..reps {
+        for ((rt, indices), (seconds, instructions)) in arms.iter_mut().zip(best.iter_mut()) {
+            let base = rt.retired_total();
+            let t0 = Instant::now();
+            run_workload(name, rt, indices);
+            *seconds = seconds.min(t0.elapsed().as_secs_f64());
+            *instructions = rt.retired_total() - base;
+        }
+    }
+    best
+}
+
 /// One measured configuration of a throughput bench: how many guest
 /// instructions retired in how many seconds.
 #[derive(Debug, Clone)]
@@ -434,31 +468,20 @@ impl JsonRecord for PressureRecord {
 /// The oversubscription factors the EPC-pressure bench sweeps.
 pub const PRESSURE_FACTORS: [usize; 3] = [1, 4, 16];
 
-/// Times the throughput region (`reps` workload repetitions, best-of) on a
-/// runtime whose budget is already armed, returning (mips, evictions,
-/// reloads), the counters accumulated since the budget was armed.
+/// Times the throughput region ([`best_of_alternating`] over the one arm)
+/// on a runtime whose budget is already armed, returning (mips, evictions,
+/// reloads), the counters accumulated since the budget was armed (the
+/// warm-up's first-touch reloads included).
 fn pressure_mips(
     name: &str,
     rt: &mut elide_enclave::runtime::EnclaveRuntime,
-    indices: &std::collections::HashMap<String, u64>,
+    indices: &HashMap<String, u64>,
     reps: usize,
 ) -> (f64, u64, u64) {
-    run_workload(name, rt, indices); // warmup (first-touch reloads)
-    let mut best = f64::INFINITY;
-    let mut instructions = 0;
-    for _ in 0..reps {
-        let base = rt.retired_total();
-        let t0 = Instant::now();
-        run_workload(name, rt, indices);
-        let seconds = t0.elapsed().as_secs_f64();
-        instructions = rt.retired_total() - base;
-        if seconds < best {
-            best = seconds;
-        }
-    }
+    let [(seconds, instructions)] = best_of_alternating(name, [(&mut *rt, indices)], reps);
     let (ev, rl) =
         rt.epc_budget().map(|b| (b.stats().evictions, b.stats().reloads)).unwrap_or((0, 0));
-    (instructions as f64 / best / 1e6, ev, rl)
+    (instructions as f64 / seconds / 1e6, ev, rl)
 }
 
 /// Measures the **elide** build of `app` under EPC pressure: cold
