@@ -27,9 +27,11 @@
 //!
 //! Two further row families gate the PR-9 fast path:
 //!
-//! * an **elide/plain** ratio row for XTEA (the former fixed-gap
-//!   offender): the protected build's MIPS relative to the plain build,
-//!   compared against the tracked ratio with the same tolerance.
+//! * an **elide/plain** ratio row per app: the protected build's MIPS
+//!   relative to the plain build, compared against the tracked ratio with
+//!   the same tolerance. Superblocks ignore page boundaries, so the
+//!   protected layout (the whitelisted runtime ahead of the app's code)
+//!   must not slow the app down.
 //! * **intrinsic on/off** rows for the bulk-intrinsic apps (JSON,
 //!   Merkle): the wall-clock speedup of the intrinsic build over the
 //!   soft build must stay above an absolute floor — the sealed
@@ -180,41 +182,39 @@ fn main() -> ExitCode {
         failed |= !ok_epc;
     }
 
-    // Elide/plain ratio row for XTEA: the protected build must hold its
-    // tracked fraction of plain throughput (instruction counts differ
-    // between builds, so this compares MIPS, not wall seconds).
-    {
-        let app = elide_apps::xtea::app();
+    // Elide/plain ratio rows: each protected build must hold its tracked
+    // fraction of plain throughput (instruction counts differ between
+    // builds, so this compares MIPS, not wall seconds).
+    for app in &apps {
         let key_p = (app.name.to_string(), "plain".to_string());
         let key_e = (app.name.to_string(), "elide".to_string());
-        match (tracked.get(&key_p), tracked.get(&key_e)) {
-            (Some(&t_plain), Some(&t_elide)) => {
-                let tracked_ratio = t_elide / t_plain;
-                let mut plain = launch_plain(&app, 42).expect("launch");
-                let mut prot =
-                    launch_protected(&app, DataPlacement::Remote, 42).expect("launch protected");
-                prot.restore().expect("restore");
-                let [(plain_s, plain_i), (elide_s, elide_i)] = best_of_alternating(
-                    app.name,
-                    [(&mut plain.runtime, &plain.indices), (&mut prot.app.runtime, &prot.indices)],
-                    reps,
-                );
-                let fresh_ratio = (elide_i as f64 / elide_s) / (plain_i as f64 / plain_s);
-                let ok = fresh_ratio >= tracked_ratio * (1.0 - tolerance);
-                println!(
-                    "{:<14} {:>13.2}x {:>13.2}x {:>10}",
-                    "XTEA elide",
-                    tracked_ratio,
-                    fresh_ratio,
-                    if ok { "ok" } else { "REGRESSED" }
-                );
-                failed |= !ok;
-            }
-            _ => {
-                eprintln!("exec_gate: XTEA elide row missing from tracked JSON — re-run the bench");
-                failed = true;
-            }
-        }
+        let (Some(&t_plain), Some(&t_elide)) = (tracked.get(&key_p), tracked.get(&key_e)) else {
+            eprintln!(
+                "exec_gate: {} elide row missing from tracked JSON — re-run the bench",
+                app.name
+            );
+            failed = true;
+            continue;
+        };
+        let tracked_ratio = t_elide / t_plain;
+        let mut plain = launch_plain(app, 42).expect("launch");
+        let mut prot = launch_protected(app, DataPlacement::Remote, 42).expect("launch protected");
+        prot.restore().expect("restore");
+        let [(plain_s, plain_i), (elide_s, elide_i)] = best_of_alternating(
+            app.name,
+            [(&mut plain.runtime, &plain.indices), (&mut prot.app.runtime, &prot.indices)],
+            reps,
+        );
+        let fresh_ratio = (elide_i as f64 / elide_s) / (plain_i as f64 / plain_s);
+        let ok = fresh_ratio >= tracked_ratio * (1.0 - tolerance);
+        println!(
+            "{:<14} {:>13.2}x {:>13.2}x {:>10}",
+            format!("{} elide", app.name),
+            tracked_ratio,
+            fresh_ratio,
+            if ok { "ok" } else { "REGRESSED" }
+        );
+        failed |= !ok;
     }
 
     // Intrinsic on/off rows: the sealed bulk intrinsics must keep

@@ -503,6 +503,17 @@ impl Bus for EnclaveWorld {
         self.enclave.page_generation(page_addr)
     }
 
+    #[inline]
+    fn code_epoch(&mut self) -> Option<u64> {
+        // Under the controlled-channel trace or an armed EPC budget every
+        // page entry must reach `exec_page_generation`: the trace records
+        // it, the budget pages code in and stamps it for LRU order.
+        if self.page_trace.is_some() || self.budget.is_some() {
+            return None;
+        }
+        Some(self.enclave.code_epoch())
+    }
+
     fn fetch_exec_page(
         &mut self,
         page_addr: u64,

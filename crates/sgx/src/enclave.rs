@@ -88,6 +88,7 @@ impl SgxCpu {
             access_clock: 0,
             stamp_accesses: false,
             epoch: 0,
+            code_epoch: 0,
             measurement: Some(Measurement::ecreate(size)),
             mrenclave: [0; 32],
             mrsigner: [0; 32],
@@ -124,6 +125,9 @@ pub struct Enclave {
     stamp_accesses: bool,
     /// Monotonic source for generation stamps.
     epoch: u64,
+    /// The `epoch` value of the last generation move on an executable
+    /// page; see [`Enclave::code_epoch`].
+    code_epoch: u64,
     measurement: Option<Measurement>,
     mrenclave: [u8; 32],
     mrsigner: [u8; 32],
@@ -196,7 +200,7 @@ impl Enclave {
         }
         let idx = (off / PAGE_SIZE) as usize;
         self.epoch += 1;
-        self.page_gens[idx] = self.epoch;
+        self.stamp_gen(idx, perms);
         self.touch_idx(idx);
         self.pages[idx] = Some(EpcPage::new(Box::new(*data), perms, ptype));
         self.measurement.as_mut().expect("measurement live before EINIT").eadd(off, perms, ptype);
@@ -232,7 +236,7 @@ impl Enclave {
         }
         let idx = (off / PAGE_SIZE) as usize;
         self.epoch += 1;
-        self.page_gens[idx] = self.epoch;
+        self.stamp_gen(idx, perms);
         self.touch_idx(idx);
         self.pages[idx] = Some(EpcPage::new(Box::new(*data), perms, ptype));
         Ok(())
@@ -466,8 +470,9 @@ impl Enclave {
             8 => d[..8].copy_from_slice(&le[..8]),
             _ => d[..size].copy_from_slice(&le[..size]),
         }
+        let perms = page.perms;
         self.epoch += 1;
-        self.page_gens[idx] = self.epoch;
+        self.stamp_gen(idx, perms);
         if self.stamp_accesses {
             self.touch_idx(idx);
         }
@@ -492,6 +497,25 @@ impl Enclave {
         }
         let (page, _) = self.page_for(vaddr & !(PAGE_SIZE - 1), kind)?;
         Ok(&page.data)
+    }
+
+    /// Stamps page `idx` with the current `epoch` as its new generation,
+    /// moving the code epoch too when the page is executable.
+    #[inline(always)]
+    fn stamp_gen(&mut self, idx: usize, perms: PagePerms) {
+        self.page_gens[idx] = self.epoch;
+        if perms.executable() {
+            self.code_epoch = self.epoch;
+        }
+    }
+
+    /// A counter that moves whenever the generation of an executable page
+    /// moves: a write to one (guest store, range write, `EADD`) and any
+    /// eviction or reload of one. While it holds still, every executable
+    /// page keeps the generation [`Enclave::page_generation`] last
+    /// reported, so translated code needs no per-page probe.
+    pub fn code_epoch(&self) -> u64 {
+        self.code_epoch
     }
 
     /// Generation stamp of the resident page containing `vaddr`: moved on
@@ -543,7 +567,8 @@ impl Enclave {
             // Moving the generation is the architectural hook for decode
             // caches: a write to an executable page is self-modification
             // and must invalidate any cached decoding.
-            self.page_gens[idx] = self.epoch;
+            let perms = page.perms;
+            self.stamp_gen(idx, perms);
             addr += take as u64;
             src = &src[take..];
         }
@@ -626,8 +651,9 @@ impl Enclave {
         // must be a typed error, not an index panic.
         let slot = self.pages.get_mut(idx).ok_or(SgxError::OutOfRange { addr: page_off })?;
         self.epoch += 1;
+        let perms = page.perms;
         *slot = Some(page);
-        self.page_gens[idx] = self.epoch;
+        self.stamp_gen(idx, perms);
         self.touch_idx(idx);
         Ok(())
     }
@@ -645,10 +671,10 @@ impl Enclave {
 
     pub(crate) fn page_evict(&mut self, page_off: u64) -> Option<EpcPage> {
         let idx = (page_off / PAGE_SIZE) as usize;
-        let slot = self.pages.get_mut(idx)?;
+        let page = self.pages.get_mut(idx)?.take()?;
         self.epoch += 1;
-        self.page_gens[idx] = self.epoch;
-        slot.take()
+        self.stamp_gen(idx, page.perms);
+        Some(page)
     }
 
     /// Page offsets of all resident pages (for iteration by tooling), in
@@ -927,6 +953,31 @@ mod tests {
         // Out-of-range addresses have no generation.
         assert_eq!(e.page_generation(0x0), None);
         assert_eq!(e.page_generation(0x100000 + 0x10000), None);
+    }
+
+    #[test]
+    fn code_epoch_moves_only_with_executable_pages() {
+        let mut x = small_enclave(PagePerms::RWX, 0);
+        let c0 = x.code_epoch();
+        x.store_prim(0x100010, 8, 7).unwrap();
+        let c1 = x.code_epoch();
+        assert_ne!(c0, c1, "a store to an executable page moves the code epoch");
+        x.write(0x100020, &[1]).unwrap();
+        let c2 = x.code_epoch();
+        assert_ne!(c1, c2, "a range write to an executable page moves it");
+        let page = x.page_evict(0).unwrap();
+        let c3 = x.code_epoch();
+        assert_ne!(c2, c3, "evicting an executable page moves it");
+        x.page_restore(0, page).unwrap();
+        assert_ne!(c3, x.code_epoch(), "reloading an executable page moves it");
+
+        let mut d = small_enclave(PagePerms::RW, 0);
+        let c0 = d.code_epoch();
+        d.store_prim(0x100010, 8, 7).unwrap();
+        d.write(0x100020, &[1]).unwrap();
+        let page = d.page_evict(0).unwrap();
+        d.page_restore(0, page).unwrap();
+        assert_eq!(d.code_epoch(), c0, "data pages never move the code epoch");
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Vm {
             pc: entry,
             retired: 0,
             dcache: DecodeCache::new(),
-            trans: TransCache::new(),
+            trans: TransCache::default(),
             engine: Engine::default(),
             stats: ExecStats::default(),
         }

@@ -163,6 +163,20 @@ pub trait Bus {
         None
     }
 
+    /// A counter that moves whenever the generation of any executable page
+    /// moves: a store or host write to an executable page, and any
+    /// eviction or reload of one. While it holds still, every generation
+    /// [`Bus::exec_page_generation`] reported since is still current, so
+    /// the superblock engine may chain across pages without probing them.
+    ///
+    /// `None` (the default) promises nothing: the engine then probes every
+    /// page it enters. A bus returns `None` wherever page entries must stay
+    /// visible to it — for instance to page code in or to order pages by
+    /// recency.
+    fn code_epoch(&mut self) -> Option<u64> {
+        None
+    }
+
     /// Copies the whole aligned code page at `page_addr` into `buf`,
     /// checking execute permission once for the entire page, and returns
     /// its generation stamp. Only called for pages where
@@ -246,16 +260,20 @@ pub fn write_le_prim(d: &mut [u8], size: usize, value: u64) {
 pub struct FlatMemory {
     base: u64,
     data: Vec<u8>,
-    /// Bumped on every write; doubles as the code-page generation (every
-    /// byte of a flat region is executable, so any write may be a code
-    /// write).
+    /// Bumped on every write. Every byte of a flat region is executable,
+    /// so this is also the bus's code epoch.
     epoch: u64,
+    /// Per-page generations, indexed from the page containing `base`: a
+    /// write stamps the pages it touches with the new `epoch`.
+    gens: Vec<u64>,
 }
 
 impl FlatMemory {
     /// Creates a region of `size` zero bytes starting at `base`.
     pub fn new(base: u64, size: usize) -> Self {
-        FlatMemory { base, data: vec![0; size], epoch: 0 }
+        let first = base & !(CODE_PAGE_SIZE - 1);
+        let pages = (base - first + size as u64).div_ceil(CODE_PAGE_SIZE);
+        FlatMemory { base, data: vec![0; size], epoch: 0, gens: vec![0; pages as usize] }
     }
 
     /// Copies `bytes` into the region at `addr`.
@@ -266,7 +284,25 @@ impl FlatMemory {
     pub fn write_at(&mut self, addr: u64, bytes: &[u8]) {
         let off = (addr - self.base) as usize;
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.wrote(addr, bytes.len());
+    }
+
+    /// Moves the epoch and stamps every page that `len` bytes written at
+    /// `addr` touched.
+    fn wrote(&mut self, addr: u64, len: usize) {
         self.epoch += 1;
+        let first = self.base & !(CODE_PAGE_SIZE - 1);
+        let lo = (addr - first) / CODE_PAGE_SIZE;
+        let hi = (addr + len.max(1) as u64 - 1 - first) / CODE_PAGE_SIZE;
+        for g in &mut self.gens[lo as usize..=hi as usize] {
+            *g = self.epoch;
+        }
+    }
+
+    /// The generation of the page at `page_addr`, which the caller has
+    /// checked lies inside the region.
+    fn gen(&self, page_addr: u64) -> u64 {
+        self.gens[((page_addr - (self.base & !(CODE_PAGE_SIZE - 1))) / CODE_PAGE_SIZE) as usize]
     }
 
     /// Reads a slice at `addr`.
@@ -305,7 +341,7 @@ impl Bus for FlatMemory {
     fn store(&mut self, addr: u64, size: usize, value: u64) -> Result<(), VmFault> {
         let off = self.offset(addr, size, Access::Write)?;
         write_le_prim(&mut self.data[off..], size, value);
-        self.epoch += 1;
+        self.wrote(addr, size);
         Ok(())
     }
 
@@ -323,6 +359,10 @@ impl Bus for FlatMemory {
         if end > self.data.len() as u64 {
             return None;
         }
+        Some(self.gen(page_addr))
+    }
+
+    fn code_epoch(&mut self) -> Option<u64> {
         Some(self.epoch)
     }
 
@@ -333,13 +373,13 @@ impl Bus for FlatMemory {
     ) -> Result<u64, VmFault> {
         let off = self.offset(page_addr, CODE_PAGE_SIZE as usize, Access::Execute)?;
         buf.copy_from_slice(&self.data[off..off + CODE_PAGE_SIZE as usize]);
-        Ok(self.epoch)
+        Ok(self.gen(page_addr))
     }
 
     fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), VmFault> {
         let off = self.offset(addr, data.len(), Access::Write)?;
         self.data[off..off + data.len()].copy_from_slice(data);
-        self.epoch += 1;
+        self.wrote(addr, data.len());
         Ok(())
     }
 
@@ -370,7 +410,7 @@ impl Bus for FlatMemory {
                 let s = self.offset(src, len as usize, Access::Read)?;
                 let d = self.offset(dst, len as usize, Access::Write)?;
                 self.data.copy_within(s..s + len as usize, d);
-                self.epoch += 1;
+                self.wrote(dst, len as usize);
                 regs[0] = 0;
                 Ok(intrinsics::bulk_fuel(len))
             }
@@ -379,7 +419,7 @@ impl Bus for FlatMemory {
                 check(dst, len)?;
                 let d = self.offset(dst, len as usize, Access::Write)?;
                 self.data[d..d + len as usize].fill(byte);
-                self.epoch += 1;
+                self.wrote(dst, len as usize);
                 regs[0] = 0;
                 Ok(intrinsics::bulk_fuel(len))
             }
@@ -453,5 +493,21 @@ mod tests {
         // Partially mapped pages are not cacheable.
         let mut small = FlatMemory::new(0, 64);
         assert_eq!(small.exec_page_generation(0), None);
+    }
+
+    #[test]
+    fn writes_move_only_the_pages_they_touch() {
+        let mut m = FlatMemory::new(0x1000, 3 * 4096);
+        let [a, b, c] = [0x1000, 0x2000, 0x3000].map(|p| m.exec_page_generation(p).unwrap());
+        let e0 = m.code_epoch().unwrap();
+        m.store(0x1008, 8, 7).unwrap();
+        assert_ne!(m.exec_page_generation(0x1000).unwrap(), a, "written page moves");
+        assert_eq!(m.exec_page_generation(0x2000).unwrap(), b, "untouched page stays put");
+        assert_eq!(m.exec_page_generation(0x3000).unwrap(), c, "untouched page stays put");
+        assert_ne!(m.code_epoch().unwrap(), e0, "every write moves the code epoch");
+        // A store straddling a boundary moves both pages it touches.
+        m.store(0x2ffc, 8, 7).unwrap();
+        assert_ne!(m.exec_page_generation(0x2000).unwrap(), b);
+        assert_ne!(m.exec_page_generation(0x3000).unwrap(), c);
     }
 }

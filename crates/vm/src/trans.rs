@@ -1,11 +1,10 @@
-//! Superblock translation: the execution tier above the decode cache.
+//! Superblock translation: the execution tier above the interpreter.
 //!
-//! The decode cache (PR 2) removed per-instruction bus traffic but still
-//! retires one [`Instr`] per trip through the interpreter's `match`, with a
-//! fuel check, a retired-counter bump and a pc update per instruction. This
-//! module lowers each validated page into **superblocks** — maximal
-//! straight-line runs ending at the first control transfer — and executes
-//! them with a token-threaded dispatch over pre-lowered micro-ops:
+//! The interpreter retires one [`Instr`] per trip through its `match`, with
+//! a fuel check, a retired-counter bump and a pc update per instruction.
+//! This module lowers guest code into **superblocks** — traces along the
+//! hot path — and executes them with a token-threaded dispatch over
+//! pre-lowered micro-ops:
 //!
 //! * operand register indices and sign-extended immediates are resolved at
 //!   translation time, branch/jump targets are absolute addresses;
@@ -17,23 +16,25 @@
 //!   entry, and early exits (faults, self-patching stores) refund the
 //!   unexecuted remainder, reconstructing the exact per-instruction fault
 //!   address and retired count the interpreter would have produced;
-//! * back-to-back blocks on the same page chain without re-probing the
-//!   bus: a store that hits the executing page is detected *at the store*
-//!   (the [`BlockExit::Patched`] exit) and every other way the page's bytes
-//!   can change moves its generation, which is re-checked on page entry.
+//! * page boundaries shape nothing: a trace lowers from up to
+//!   [`MAX_TRACE_PAGES`] pages, and a block exit chains into the next block
+//!   on any page while the bus's [`Bus::code_epoch`] vouches that no
+//!   executable page changed. A store that hits a page the executing block
+//!   lowered is caught *at the store* (the [`BlockExit::Patched`] exit).
 //!
 //! Anything the translator cannot prove equivalent — misaligned PCs,
 //! uncacheable buses, page-trace mode, fuel slivers smaller than one block
 //! — falls back to the instruction-at-a-time interpreter loop, which bails
 //! back to the translator as soon as execution returns to a translatable
-//! page. Invalidation reuses the decode cache's per-page generations
-//! unchanged, so the sanitize → fault → `elide_restore` → re-execute life
-//! cycle needs no extra coherence machinery.
+//! page. Translation reads the decode cache's pages and invalidates by the
+//! bus's per-page generations, so the sanitize → fault → `elide_restore` →
+//! re-execute life cycle needs no extra coherence machinery.
 
-use crate::dcache::INSTRS_PER_PAGE;
+use crate::dcache::{DecodeCache, INSTRS_PER_PAGE};
 use crate::interp::{Exit, InterpOutcome, Vm};
 use crate::isa::{Instr, Opcode, INSTR_SIZE, NUM_REGS, REG_SP};
 use crate::mem::{Bus, VmFault, CODE_PAGE_SIZE};
+use std::collections::HashMap;
 
 const PAGE_MASK: u64 = CODE_PAGE_SIZE - 1;
 
@@ -73,12 +74,12 @@ enum LKind {
     Add32i,
     Ld, // size in `sz`
     St, // size in `sz`
-    /// A followed same-page `jmp`: retires the jump, control stays inside
-    /// the trace (the next op is the jump target's lowering).
+    /// A followed `jmp`: retires the jump, control stays inside the trace
+    /// (the next op is the jump target's lowering).
     Hop,
-    /// A followed same-page `call`: pushes the return address and falls
-    /// through to the callee's lowering. Exits via `Patched` if the push
-    /// hits the executing page.
+    /// A followed `call`: pushes the return address and falls through to
+    /// the callee's lowering. Exits via `Patched` if the push hits a page
+    /// the block lowered.
     HCall,
     /// A `ret` inside a followed call: pops the return address and, when
     /// it matches the translation-time expectation in `imm` (the guest may
@@ -115,7 +116,7 @@ enum LKind {
     TBlts,
     TBges,
     // Terminators.
-    TJmp,   // imm = absolute target (cross-page or indirect-shaped)
+    TJmp,   // imm = absolute target (a page the trace cannot add)
     TCall,  // imm = absolute target
     TCallr, // target = r[b]
     TRet,
@@ -124,17 +125,19 @@ enum LKind {
     TOcall,  // imm = ocall index
     TIntrin, // imm = intrinsic index
     TIllegal,
-    TFall, // trace cap or page end; imm = continuation address
+    TFall, // trace cap or an undecodable page; imm = continuation address
 }
 
-/// One lowered micro-op. 32 bytes; operands pre-resolved at translation.
+/// One lowered micro-op. 24 bytes; operands pre-resolved at translation.
 #[derive(Debug, Clone, Copy)]
 struct LOp {
     kind: LKind,
     a: u8,
     b: u8,
     c: u8,
-    /// Index of the op's **first** source instruction within the page.
+    /// Where the op's **first** source instruction sits: the index of its
+    /// page in the block's [`Pages`] above [`IDX_BITS`], the instruction
+    /// index within that page below.
     off: u16,
     /// Guest instructions this op retires (fusion width; 0 for `TFall`).
     retire: u8,
@@ -147,134 +150,264 @@ struct LOp {
     aux: u64,
 }
 
+/// Bits of [`LOp::off`] that index an instruction within its page.
+const IDX_BITS: u32 = INSTRS_PER_PAGE.trailing_zeros();
+
+/// Most distinct pages one trace lowers instructions from. Enough for a
+/// loop that straddles a boundary and calls a helper on a third page.
+const MAX_TRACE_PAGES: usize = 4;
+
+/// Filler for unused [`Pages`] entries: not page-aligned, so no access
+/// ever lands on it.
+const NO_PAGE: u64 = u64::MAX;
+
+/// The pages a block lowered from, the one it starts on first.
+type Pages = [u64; MAX_TRACE_PAGES];
+
+/// Address of the instruction `k` slots after `op`'s first one.
+#[inline]
+fn op_pc(pages: &Pages, op: &LOp, k: u64) -> u64 {
+    let page = pages[(op.off >> IDX_BITS) as usize & (MAX_TRACE_PAGES - 1)];
+    page + ((op.off as u64 & (INSTRS_PER_PAGE as u64 - 1)) + k) * INSTR_SIZE
+}
+
 /// A translated superblock: straight-line ops plus one terminator.
 #[derive(Debug, Clone)]
 struct Block {
     /// Guest instructions retired by a full (uninterrupted) execution.
     cost: u64,
-    /// Second page this block lowered instructions from (`u64::MAX` for a
-    /// single-page block): the trace continued across the sequential page
-    /// boundary, so stores hitting `watch` must exit `Patched` and entry
-    /// must re-check the neighbour's generation against the slot's
-    /// `dep_gen`.
-    watch: u64,
+    /// Pages the block lowered from: a store hitting any of them exits
+    /// `Patched`, and the slot records the generation of each.
+    pages: Pages,
     ops: Box<[LOp]>,
 }
 
-/// Per-dcache-slot translation state, keyed by `(page_addr, generation)`.
+/// A code epoch no bus reports: a slot holding it has not been confirmed
+/// under any epoch, so entering it probes.
+const UNCHECKED: u64 = u64::MAX;
+
+/// The blocks that start on one page.
 #[derive(Debug, Clone)]
 struct TransSlot {
     page_addr: u64,
     gen: u64,
-    /// Cross-page dependency: every block with `watch != u64::MAX` in this
-    /// slot lowered instructions from `dep_page` at generation `dep_gen`
-    /// (`u64::MAX` = no block crosses). Checked on crossing-block entry.
-    dep_page: u64,
-    dep_gen: u64,
+    /// The other pages this slot's blocks lowered from, each with the
+    /// generation every block lowered it at.
+    deps: Vec<(u64, u64)>,
+    /// The code epoch at which `gen` and every `deps` generation were last
+    /// confirmed current ([`UNCHECKED`] = never, or no code epoch).
+    checked: u64,
     /// Instruction index → block id + 1 (0 = not yet translated).
     block_at: Box<[u32; INSTRS_PER_PAGE]>,
     blocks: Vec<Block>,
 }
 
 impl TransSlot {
-    fn empty() -> Self {
+    fn new(page_addr: u64, gen: u64) -> Self {
         TransSlot {
-            page_addr: u64::MAX,
-            gen: 0,
-            dep_page: u64::MAX,
-            dep_gen: 0,
+            page_addr,
+            gen,
+            deps: Vec::new(),
+            checked: UNCHECKED,
             block_at: Box::new([0; INSTRS_PER_PAGE]),
             blocks: Vec::new(),
         }
     }
 
-    fn reset(&mut self, page_addr: u64, gen: u64) {
-        self.page_addr = page_addr;
+    /// Drops every block, keeping the page identity at generation `gen`.
+    fn clear(&mut self, gen: u64) {
         self.gen = gen;
-        self.dep_page = u64::MAX;
-        self.dep_gen = 0;
+        self.deps.clear();
         self.block_at.fill(0);
         self.blocks.clear();
     }
 }
 
-/// Superblock cache, slot-parallel to the [`crate::dcache::DecodeCache`];
-/// owned by a [`Vm`].
-#[derive(Debug, Clone, Default)]
+/// The superblock cache, one slot per page that blocks start on; owned by
+/// a [`Vm`].
+#[derive(Debug, Clone)]
 pub struct TransCache {
     slots: Vec<TransSlot>,
+    index: HashMap<u64, usize>,
+    /// Direct-mapped front of `index` for chained transitions:
+    /// `(page, slot)` by page number modulo its length.
+    recent: [(u64, usize); RECENT_PAGES],
+}
+
+/// Entries in [`TransCache::recent`].
+const RECENT_PAGES: usize = 16;
+
+impl Default for TransCache {
+    fn default() -> Self {
+        TransCache {
+            slots: Vec::new(),
+            index: HashMap::new(),
+            recent: [(NO_PAGE, 0); RECENT_PAGES],
+        }
+    }
 }
 
 impl TransCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        TransCache { slots: Vec::new() }
-    }
-
-    /// Drops every translation (used with
-    /// [`crate::dcache::DecodeCache::invalidate_all`]).
+    /// Drops every translation.
     pub fn invalidate_all(&mut self) {
         self.slots.clear();
+        self.index.clear();
+        self.recent = [(NO_PAGE, 0); RECENT_PAGES];
     }
 
-    /// Number of translated blocks currently live (all slots).
-    pub fn translated_blocks(&self) -> usize {
-        self.slots.iter().map(|s| s.blocks.len()).sum()
-    }
-
-    /// Makes `slot` current for `(page_addr, gen)`, dropping any stale
-    /// translation for a previous generation or an evicted page.
-    fn ensure(&mut self, slot: usize, page_addr: u64, gen: u64) {
-        if self.slots.len() <= slot {
-            self.slots.resize_with(slot + 1, TransSlot::empty);
+    /// The slot of `page`, if blocks start there.
+    #[inline]
+    fn lookup(&mut self, page: u64) -> Option<usize> {
+        let r = &mut self.recent[(page / CODE_PAGE_SIZE) as usize % RECENT_PAGES];
+        if r.0 != page {
+            *r = (page, *self.index.get(&page)?);
         }
+        Some(r.1)
+    }
+
+    /// Makes the slot of `page` current for generation `gen`, which the
+    /// caller just probed, and returns it. Without a code epoch that is
+    /// all: blocks that lowered other pages probe them on entry. Under a
+    /// code epoch the slot's other pages are confirmed here once per epoch
+    /// — the check that lets chained transitions skip every probe.
+    fn enter<B: Bus + ?Sized>(&mut self, bus: &mut B, page: u64, gen: u64) -> usize {
+        let slot = match self.lookup(page) {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(TransSlot::new(page, gen));
+                self.index.insert(page, self.slots.len() - 1);
+                self.slots.len() - 1
+            }
+        };
         let s = &mut self.slots[slot];
-        if s.page_addr != page_addr || s.gen != gen {
-            s.reset(page_addr, gen);
+        if s.gen != gen {
+            s.clear(gen);
         }
-    }
-
-    fn block_id(&self, slot: usize, idx: usize) -> Option<u32> {
-        match self.slots[slot].block_at[idx] {
-            0 => None,
-            id => Some(id - 1),
+        match bus.code_epoch() {
+            Some(epoch) if s.checked != epoch => {
+                if s.deps.iter().any(|&(p, g)| bus.exec_page_generation(p) != Some(g)) {
+                    s.clear(gen);
+                }
+                s.checked = epoch;
+            }
+            Some(_) => {}
+            None => s.checked = UNCHECKED,
         }
+        slot
     }
 
-    /// Drops every translation in `slot` (keeping its page identity):
-    /// called when the cross-page dependency's generation moved, so the
-    /// crossing blocks are stale while the page's own bytes are not.
-    fn drop_dep(&mut self, slot: usize) {
-        let s = &mut self.slots[slot];
-        let (page, gen) = (s.page_addr, s.gen);
-        s.reset(page, gen);
+    /// Whether every page block `id` lowered beyond its first still has
+    /// the generation its slot recorded. Probes each one: with no code
+    /// epoch this is how EPC paging sees the pages a trace runs on.
+    fn deps_current<B: Bus + ?Sized>(&self, slot: usize, id: u32, bus: &mut B) -> bool {
+        let s = &self.slots[slot];
+        s.blocks[id as usize].pages[1..].iter().take_while(|&&p| p != NO_PAGE).all(|&p| {
+            let recorded = s.deps.iter().find(|d| d.0 == p).map(|d| d.1);
+            bus.exec_page_generation(p) == recorded
+        })
     }
 
-    /// Translates the block at `idx`. `instrs` covers this page and — when
-    /// `dep` is `Some((next_page, next_gen))` — the sequentially next page,
-    /// letting the trace continue across the boundary; a block that does
-    /// cross records the dependency on the slot and watches `next_page`.
-    fn translate(
+    /// Translates the block starting at instruction `idx` of `slot`'s
+    /// page. Returns `None` when the page's bytes cannot be fetched (the
+    /// interpreter then reports the exact fault).
+    fn translate<B: Bus + ?Sized>(
         &mut self,
+        dcache: &mut DecodeCache,
+        bus: &mut B,
         slot: usize,
         idx: usize,
-        instrs: &[Instr],
-        page: u64,
-        dep: Option<(u64, u64)>,
-    ) -> u32 {
-        let (mut block, crossed) = translate_block(instrs, page, idx);
+    ) -> Option<u32> {
+        let page = self.slots[slot].page_addr;
+        let mut view = View { bus, dcache, pages: [(NO_PAGE, 0, 0); MAX_TRACE_PAGES], n: 0 };
+        view.page_index(page)?;
+        let block = translate_block(&mut view, page + idx as u64 * INSTR_SIZE);
         let s = &mut self.slots[slot];
-        if crossed {
-            let (dep_page, dep_gen) = dep.expect("crossing requires a pair view");
-            debug_assert!(s.dep_page == u64::MAX || s.dep_page == dep_page);
-            s.dep_page = dep_page;
-            s.dep_gen = dep_gen;
-            block.watch = dep_page;
+        // Blocks of one slot share one generation per page: a page that
+        // moved since the slot's older blocks lowered it makes them stale.
+        let seen = &view.pages[..view.n];
+        let stale = seen[0].1 != s.gen
+            || seen[1..].iter().any(|&(p, g, _)| s.deps.iter().any(|&(q, h)| q == p && h != g));
+        if stale {
+            s.clear(seen[0].1);
+        }
+        for &(p, g, _) in &seen[1..] {
+            if !s.deps.iter().any(|&(q, _)| q == p) {
+                s.deps.push((p, g));
+            }
         }
         let id = s.blocks.len() as u32;
         s.blocks.push(block);
         s.block_at[idx] = id + 1;
-        id
+        Some(id)
+    }
+}
+
+/// The translator's window onto guest code: up to [`MAX_TRACE_PAGES`]
+/// pages of the decode cache, each added the first time the trace reaches
+/// it.
+struct View<'a, B: ?Sized> {
+    bus: &'a mut B,
+    dcache: &'a mut DecodeCache,
+    /// `(page, generation, dcache slot)` in the order the trace reached
+    /// them.
+    pages: [(u64, u64, usize); MAX_TRACE_PAGES],
+    n: usize,
+}
+
+impl<B: Bus + ?Sized> View<'_, B> {
+    /// The index of `page` in the view, adding it when it is decodable and
+    /// the view has room. A page whose dcache slot was recycled by a later
+    /// addition (possible only at cache capacity) reads as absent.
+    fn page_index(&mut self, page: u64) -> Option<usize> {
+        if let Some(i) = self.pages[..self.n].iter().position(|p| p.0 == page) {
+            return (self.dcache.slot_page(self.pages[i].2) == page).then_some(i);
+        }
+        if self.n == MAX_TRACE_PAGES {
+            return None;
+        }
+        let slot = self.dcache.validate(self.bus, page)?;
+        self.pages[self.n] = (page, self.dcache.generation(slot), slot);
+        self.n += 1;
+        Some(self.n - 1)
+    }
+
+    /// Whether the trace can follow control to `addr`.
+    fn covers(&mut self, addr: u64) -> bool {
+        addr & (INSTR_SIZE - 1) == 0 && self.page_index(addr & !PAGE_MASK).is_some()
+    }
+
+    /// The instruction at `addr` and the three after it (`None` past what
+    /// the trace can read), with `addr`'s [`LOp::off`] encoding. Bytes that
+    /// do not decode — including the zeroed bytes of sanitized functions —
+    /// lower as [`Opcode::Illegal`], which faults exactly like a fetch.
+    fn window(&mut self, addr: u64) -> Option<([Option<Instr>; 4], u16)> {
+        if addr & (INSTR_SIZE - 1) != 0 {
+            return None;
+        }
+        let at = self.page_index(addr & !PAGE_MASK)?;
+        let (first, mut i) = (((addr & PAGE_MASK) / INSTR_SIZE) as usize, at);
+        let mut w = [None; 4];
+        for (k, slot) in w.iter_mut().enumerate() {
+            let idx = (first + k) % INSTRS_PER_PAGE;
+            if k > 0 && idx == 0 {
+                // The window runs onto the next page.
+                match self.page_index((addr & !PAGE_MASK).wrapping_add(CODE_PAGE_SIZE)) {
+                    Some(next) => i = next,
+                    None => break,
+                }
+            }
+            *slot = Some(self.dcache.instr(self.pages[i].2, idx));
+        }
+        Some((w, ((at << IDX_BITS) | first) as u16))
+    }
+
+    /// The lowered page table for a finished block.
+    fn pages(&self) -> Pages {
+        let mut pages = [NO_PAGE; MAX_TRACE_PAGES];
+        for (dst, p) in pages.iter_mut().zip(&self.pages[..self.n]) {
+            *dst = p.0;
+        }
+        pages
     }
 }
 
@@ -284,11 +417,10 @@ fn sx(imm: i32) -> u64 {
     imm as i64 as u64
 }
 
-/// Lowers one instruction at page index `idx` without fusion.
-fn lower_one(ins: Instr, idx: usize, page: u64) -> LOp {
+/// Lowers the instruction at `pc` (encoded as `off`) without fusion.
+fn lower_one(ins: Instr, pc: u64, off: u16) -> LOp {
     use LKind::*;
-    let off = idx as u16;
-    let next = page + (idx as u64 + 1) * INSTR_SIZE;
+    let next = pc.wrapping_add(INSTR_SIZE);
     let mut op = LOp {
         kind: MovR,
         a: ins.a,
@@ -354,21 +486,11 @@ fn lower_one(ins: Instr, idx: usize, page: u64) -> LOp {
             Add32i
         }
         Opcode::Ld8u | Opcode::Ld16u | Opcode::Ld32u | Opcode::Ld64 => {
-            op.sz = match ins.op {
-                Opcode::Ld8u => 1,
-                Opcode::Ld16u => 2,
-                Opcode::Ld32u => 4,
-                _ => 8,
-            };
+            op.sz = mem_size(ins.op);
             Ld
         }
         Opcode::St8 | Opcode::St16 | Opcode::St32 | Opcode::St64 => {
-            op.sz = match ins.op {
-                Opcode::St8 => 1,
-                Opcode::St16 => 2,
-                Opcode::St32 => 4,
-                _ => 8,
-            };
+            op.sz = mem_size(ins.op);
             St
         }
         Opcode::Jmp => {
@@ -434,17 +556,17 @@ fn mem_size(op: Opcode) -> u8 {
     }
 }
 
-/// Tries to fuse a macro-op starting at `idx`; returns the op plus the
-/// number of source instructions it absorbs. Fusions preserve the exact
-/// architectural register state at every observable point (each fused
-/// handler performs the same register writes in the same order), so a
-/// mid-op fault reconstructs interpreter-identical state.
-fn try_fuse(instrs: &[Instr], idx: usize, page: u64) -> Option<(LOp, usize)> {
+/// Tries to fuse a macro-op starting at `pc` (encoded as `off`) from the
+/// instruction window `w` (`w[k]` sits `k` slots after `pc`; `None` past
+/// what the trace can read); returns the op plus the number of source
+/// instructions it absorbs. Fusions preserve the exact architectural
+/// register state at every observable point (each fused handler performs
+/// the same register writes in the same order), so a mid-op fault
+/// reconstructs interpreter-identical state.
+fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
     use LKind::*;
-    let i0 = instrs[idx];
-    let i1 = if idx + 1 < instrs.len() { Some(instrs[idx + 1]) } else { None };
-    let i2 = if idx + 2 < instrs.len() { Some(instrs[idx + 2]) } else { None };
-    let off = idx as u16;
+    let i0 = w[0]?;
+    let (i1, i2) = (w[1], w[2]);
 
     // movi d, lo ; movhi d, hi  →  d = full 64-bit constant (la expansion).
     if i0.op == Opcode::Movi {
@@ -458,8 +580,7 @@ fn try_fuse(instrs: &[Instr], idx: usize, page: u64) -> Option<(LOp, usize)> {
                 if let Some(n2) = i2 {
                     if n2.op == Opcode::Add && (n2.b == t || n2.c == t) {
                         let q = if n2.b == t { n2.c } else { n2.b };
-                        if idx + 3 < instrs.len() {
-                            let n3 = instrs[idx + 3];
+                        if let Some(n3) = w[3] {
                             if is_load(n3.op) && n3.b == n2.a {
                                 return Some((
                                     LOp {
@@ -487,7 +608,7 @@ fn try_fuse(instrs: &[Instr], idx: usize, page: u64) -> Option<(LOp, usize)> {
             // movi x, k ; conditional branch  →  fused bound check (the
             // dominant loop-header shape). The movi still writes x.
             if is_branch(n1.op) {
-                let mut op = lower_one(n1, idx + 1, page);
+                let mut op = lower_one(n1, pc.wrapping_add(INSTR_SIZE), off);
                 op.off = off;
                 op.retire = 2;
                 op.sz = 2; // pre-movi marker
@@ -522,7 +643,7 @@ fn try_fuse(instrs: &[Instr], idx: usize, page: u64) -> Option<(LOp, usize)> {
         if i0.a == i0.b {
             if let Some(n1) = i1 {
                 if is_branch(n1.op) {
-                    let mut op = lower_one(n1, idx + 1, page);
+                    let mut op = lower_one(n1, pc.wrapping_add(INSTR_SIZE), off);
                     op.off = off;
                     op.retire = 2;
                     op.sz = 1; // pre-addi marker
@@ -862,140 +983,80 @@ fn invert(k: LKind) -> LKind {
     }
 }
 
-/// `addr` as an instruction index into the trace's view (`n` decoded
-/// instructions starting at `page`), if it is aligned and in range. With a
-/// pair view (`n == 2 * INSTRS_PER_PAGE`) this also resolves addresses on
-/// the sequentially next page, so jumps, calls and loop back-edges that
-/// straddle the boundary stay inside the trace.
-#[inline]
-fn trace_idx(addr: u64, page: u64, n: usize) -> Option<usize> {
-    if addr >= page && addr < page + n as u64 * INSTR_SIZE && addr & (INSTR_SIZE - 1) == 0 {
-        Some(((addr - page) >> 3) as usize)
-    } else {
-        None
-    }
-}
-
 /// Upper bound on guest instructions lowered into one trace. Hot loops
 /// unroll until the cap, so block-entry overhead amortizes over ~this many
 /// instructions; it is also the worst-case fuel sliver delegated to the
 /// interpreter when a run's remaining budget is smaller than one trace.
 const MAX_TRACE_INSTRS: usize = 192;
 
-/// Builds the trace superblock starting at instruction index `start`:
-/// straight-line lowering that additionally follows same-page
-/// unconditional jumps ([`LKind::Hop`]) and continues through conditional
-/// branches as side exits — forward branches exit when taken, backward
-/// branches (loop back-edges) are stored inverted so the hot direction
-/// stays inside the trace and the loop body unrolls up to
-/// [`MAX_TRACE_INSTRS`].
-fn translate_block(instrs: &[Instr], page: u64, start: usize) -> (Block, bool) {
-    let n = instrs.len();
-    let mut ops = Vec::new();
+/// Builds the trace superblock starting at `start`: straight-line lowering
+/// that additionally follows unconditional jumps ([`LKind::Hop`]) and
+/// calls ([`LKind::HCall`], with guarded returns) and continues through
+/// conditional branches as side exits — forward branches exit when taken,
+/// backward branches (loop back-edges) are stored inverted so the hot
+/// direction stays inside the trace and the loop body unrolls up to
+/// [`MAX_TRACE_INSTRS`]. Control may go to any page the view can add, so
+/// page boundaries shape no trace.
+fn translate_block<B: Bus + ?Sized>(view: &mut View<'_, B>, start: u64) -> Block {
+    let mut ops = Vec::with_capacity(MAX_TRACE_INSTRS);
     let mut cost = 0u64;
-    let mut idx = start;
+    let mut pc = start;
     let mut budget = MAX_TRACE_INSTRS;
-    // Whether any lowered instruction came from beyond the first page —
-    // the caller then records the cross-page dependency.
-    let mut crossed = false;
-    // Translation-time call stack: the continuation index expected by each
-    // followed same-page call, so the matching `ret` can be guarded
+    // Translation-time call stack: the continuation expected by each
+    // followed call, so the matching `ret` can be guarded
     // ([`LKind::RetHop`]) instead of ending the trace.
-    let mut ret_stack: Vec<usize> = Vec::new();
+    let mut ret_stack: Vec<u64> = Vec::new();
     loop {
-        if idx >= n || budget == 0 {
-            // View end or trace cap: continue at the next untranslated pc.
-            let cont = if idx >= n {
-                page + n as u64 * INSTR_SIZE
-            } else {
-                page + (idx as u64) * INSTR_SIZE
-            };
-            ops.push(LOp {
-                kind: LKind::TFall,
-                a: 0,
-                b: 0,
-                c: 0,
-                off: idx.min(n) as u16,
-                retire: 0,
-                sz: 0,
-                imm: cont,
-                aux: 0,
-            });
+        let here = if budget == 0 { None } else { view.window(pc) };
+        let Some((w, off)) = here else {
+            // Trace cap, or a page the view cannot add: continue at `pc`.
+            let illegal = Instr::new(Opcode::Illegal, 0, 0, 0, 0);
+            ops.push(LOp { kind: LKind::TFall, retire: 0, imm: pc, ..lower_one(illegal, pc, 0) });
             break;
-        }
-        crossed |= idx >= INSTRS_PER_PAGE;
-        let (mut op, len) = match try_fuse(instrs, idx, page) {
-            Some((op, len)) => (op, len),
-            None => (lower_one(instrs[idx], idx, page), 1),
         };
-        crossed |= idx + len > INSTRS_PER_PAGE;
+        let i0 = w[0].expect("window starts at pc");
+        let (mut op, len) = try_fuse(&w, pc, off).unwrap_or_else(|| (lower_one(i0, pc, off), 1));
         budget = budget.saturating_sub(len);
-        if op.kind == LKind::TJmp {
-            if let Some(t) = trace_idx(op.imm, page, n) {
+        cost += op.retire as u64;
+        let fall = pc.wrapping_add(len as u64 * INSTR_SIZE);
+        pc = match op.kind {
+            LKind::TJmp if view.covers(op.imm) => {
                 // Followed jump: retire it and keep lowering at the target.
                 op.kind = LKind::Hop;
-                cost += 1;
-                ops.push(op);
-                idx = t;
-                continue;
+                op.imm
             }
-        }
-        if op.kind == LKind::TCall {
-            if let Some(t) = trace_idx(op.imm, page, n) {
+            LKind::TCall if view.covers(op.imm) => {
                 // Followed call: push the return address in-trace and keep
                 // lowering inside the callee.
                 op.kind = LKind::HCall;
-                cost += 1;
-                ops.push(op);
-                ret_stack.push(idx + 1);
-                idx = t;
-                continue;
+                ret_stack.push(fall);
+                op.imm
             }
-        }
-        if op.kind == LKind::TRet {
-            if let Some(rid) = ret_stack.pop() {
+            LKind::TRet if !ret_stack.is_empty() => {
                 // Matching ret of a followed call: guard against the
                 // expected continuation and keep lowering there.
                 op.kind = LKind::RetHop;
-                op.imm = page + (rid as u64) * INSTR_SIZE;
-                cost += 1;
-                ops.push(op);
-                idx = rid;
-                continue;
+                op.imm = ret_stack.pop().expect("non-empty");
+                op.imm
             }
-        }
-        if is_side_branch(op.kind) {
-            let fall_idx = idx + len;
-            match trace_idx(op.imm, page, n) {
-                Some(t) if t < idx => {
-                    // Backward branch: follow the taken direction (the hot
-                    // loop edge); the stored condition is inverted and the
-                    // exit target is the fall-through.
-                    op.kind = invert(op.kind);
-                    op.imm = page + (fall_idx as u64) * INSTR_SIZE;
-                    cost += op.retire as u64;
-                    ops.push(op);
-                    idx = t;
-                }
-                _ => {
-                    // Forward (or cross-page) branch: follow fall-through,
-                    // exit when taken.
-                    cost += op.retire as u64;
-                    ops.push(op);
-                    idx = fall_idx;
-                }
+            kind if is_side_branch(kind) && op.imm < pc && view.covers(op.imm) => {
+                // Backward branch: follow the taken direction (the hot
+                // loop edge); the stored condition is inverted and the
+                // exit target is the fall-through.
+                op.kind = invert(kind);
+                std::mem::replace(&mut op.imm, fall)
             }
-            continue;
-        }
-        cost += op.retire as u64;
+            // Forward (or unfollowable) branches exit when taken and
+            // otherwise fall through, as does every straight-line op.
+            _ => fall,
+        };
         let done = is_terminator(op.kind);
         ops.push(op);
-        idx += len;
         if done {
             break;
         }
     }
-    (Block { cost, watch: u64::MAX, ops: ops.into_boxed_slice() }, crossed)
+    Block { cost, pages: view.pages(), ops: ops.into_boxed_slice() }
 }
 
 /// How a block execution ended. Every arm reports `consumed`, the guest
@@ -1003,13 +1064,11 @@ fn translate_block(instrs: &[Instr], page: u64, start: usize) -> (Block, bool) {
 /// trace ran to its end, smaller on side exits; the fuel difference is
 /// refunded by the caller.
 enum BlockExit {
-    /// Control continues at `next`. `probe` forces a generation re-check
-    /// even on the same page (set after intrinsics, which may write
-    /// arbitrary guest memory).
-    Seq { next: u64, probe: bool, consumed: u64 },
-    /// A store (or call push) hit the executing page: the translation is
-    /// stale from `consumed` instructions in; continue at `next` after
-    /// revalidation.
+    /// Control continues at `next`.
+    Seq { next: u64, consumed: u64 },
+    /// A store (or call push) hit a page the block lowered: the
+    /// translation is stale from `consumed` instructions in; continue at
+    /// `next` after revalidation.
     Patched { next: u64, consumed: u64 },
     /// Guest `halt`; pc at `next`.
     Halt { next: u64, consumed: u64 },
@@ -1023,27 +1082,31 @@ enum BlockExit {
     Fault { fault: VmFault, at: u64, consumed: u64 },
 }
 
-/// Whether a `size`-byte access at `ea` touches `page`.
+/// Whether a `size`-byte access at `ea` touches any of `pages`.
 #[inline]
-fn hits_page(ea: u64, size: u64, page: u64) -> bool {
-    (ea & !PAGE_MASK) == page || (ea.wrapping_add(size - 1) & !PAGE_MASK) == page
+fn hits(ea: u64, size: u64, pages: &Pages) -> bool {
+    let lo = ea & !PAGE_MASK;
+    let hi = ea.wrapping_add(size - 1) & !PAGE_MASK;
+    // Every store pays this, and almost none hits or crosses a page: one
+    // branch-free pass over the pages for the first byte's page.
+    let on = |page: u64| pages.iter().fold(false, |hit, &p| hit | (p == page));
+    on(lo) || (hi != lo && on(hi))
 }
 
-/// Whether an access touches the executing page or the block's watched
-/// cross-page neighbour (`u64::MAX` = none; unmappable, so it never hits).
+/// The exit for a fault `k` instructions into `op`, after the block
+/// retired `done` instructions before it.
 #[inline]
-fn hits_trace(ea: u64, size: u64, page: u64, watch: u64) -> bool {
-    hits_page(ea, size, page) || hits_page(ea, size, watch)
+fn fault_in(pages: &Pages, op: &LOp, k: u64, done: u64, fault: VmFault) -> BlockExit {
+    BlockExit::Fault { fault, at: op_pc(pages, op, k), consumed: done + k + 1 }
 }
 
 /// Executes one superblock. The caller has already charged the full block
 /// cost; early exits report `consumed` so the difference can be refunded.
-/// `watch` is the block's cross-page dependency ([`Block::watch`]): stores
-/// that hit it invalidate lowered instructions just like own-page stores.
+/// `pages` is the block's [`Block::pages`]: stores that hit any of them
+/// invalidate lowered instructions.
 fn exec_block<B: Bus + ?Sized>(
     ops: &[LOp],
-    page: u64,
-    watch: u64,
+    pages: &Pages,
     r: &mut [u64; NUM_REGS],
     bus: &mut B,
 ) -> BlockExit {
@@ -1065,7 +1128,7 @@ fn exec_block<B: Bus + ?Sized>(
             Divu | Remu => {
                 let d = r[c];
                 if d == 0 {
-                    let at = page + op.off as u64 * INSTR_SIZE;
+                    let at = op_pc(pages, op, 0);
                     return BlockExit::Fault {
                         fault: VmFault::DivideByZero { addr: at },
                         at,
@@ -1099,24 +1162,17 @@ fn exec_block<B: Bus + ?Sized>(
                 let ea = r[b].wrapping_add(op.imm);
                 match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
-                    Err(fault) => {
-                        let at = page + op.off as u64 * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, 0, done, fault),
                 }
             }
             St => {
                 let ea = r[b].wrapping_add(op.imm);
                 let size = (op.sz & 0xF) as u64;
                 if let Err(fault) = bus.store(ea, size as usize, r[a]) {
-                    let at = page + op.off as u64 * INSTR_SIZE;
-                    return BlockExit::Fault { fault, at, consumed: done + 1 };
+                    return fault_in(pages, op, 0, done, fault);
                 }
-                if hits_trace(ea, size, page, watch) {
-                    return BlockExit::Patched {
-                        next: page + (op.off as u64 + 1) * INSTR_SIZE,
-                        consumed: done + 1,
-                    };
+                if hits(ea, size, pages) {
+                    return BlockExit::Patched { next: op_pc(pages, op, 1), consumed: done + 1 };
                 }
             }
             LdSt => {
@@ -1124,21 +1180,14 @@ fn exec_block<B: Bus + ?Sized>(
                 let lea = r[b].wrapping_add(op.imm);
                 match bus.load(lea, size as usize) {
                     Ok(v) => r[a] = v,
-                    Err(fault) => {
-                        let at = page + op.off as u64 * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, 0, done, fault),
                 }
                 let sea = r[c].wrapping_add(op.aux);
                 if let Err(fault) = bus.store(sea, size as usize, r[a]) {
-                    let at = page + (op.off as u64 + 1) * INSTR_SIZE;
-                    return BlockExit::Fault { fault, at, consumed: done + 2 };
+                    return fault_in(pages, op, 1, done, fault);
                 }
-                if hits_trace(sea, size, page, watch) {
-                    return BlockExit::Patched {
-                        next: page + (op.off as u64 + 2) * INSTR_SIZE,
-                        consumed: done + 2,
-                    };
+                if hits(sea, size, pages) {
+                    return BlockExit::Patched { next: op_pc(pages, op, 2), consumed: done + 2 };
                 }
             }
             LdXor => {
@@ -1148,10 +1197,7 @@ fn exec_block<B: Bus + ?Sized>(
                         r[a] = v;
                         r[c] ^= v;
                     }
-                    Err(fault) => {
-                        let at = page + op.off as u64 * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, 0, done, fault),
                 }
             }
             AddLd | AddiLd => {
@@ -1166,10 +1212,7 @@ fn exec_block<B: Bus + ?Sized>(
                 let ea = t.wrapping_add(op.imm);
                 match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
-                    Err(fault) => {
-                        let at = page + (op.off as u64 + lead) * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + lead + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, lead, done, fault),
                 }
             }
             TabLd => {
@@ -1183,10 +1226,7 @@ fn exec_block<B: Bus + ?Sized>(
                 let ea = s.wrapping_add(op.imm);
                 match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
-                    Err(fault) => {
-                        let at = page + (op.off as u64 + lead) * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + lead + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, lead, done, fault),
                 }
             }
             AddSl | OrSl => {
@@ -1207,10 +1247,7 @@ fn exec_block<B: Bus + ?Sized>(
                 let ea = s.wrapping_add(op.imm);
                 match bus.load(ea, (op.sz & 0xF) as usize) {
                     Ok(v) => r[a] = v,
-                    Err(fault) => {
-                        let at = page + (op.off as u64 + lead) * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + lead + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, lead, done, fault),
                 }
             }
             ShrAndi => r[a] = (r[b] >> op.imm) & op.aux,
@@ -1234,14 +1271,10 @@ fn exec_block<B: Bus + ?Sized>(
                 let ea = r[(op.sz >> 4) as usize].wrapping_add(op.aux);
                 let size = (op.sz & 0xF) as u64;
                 if let Err(fault) = bus.store(ea, size as usize, v) {
-                    let at = page + (op.off as u64 + 1) * INSTR_SIZE;
-                    return BlockExit::Fault { fault, at, consumed: done + 2 };
+                    return fault_in(pages, op, 1, done, fault);
                 }
-                if hits_trace(ea, size, page, watch) {
-                    return BlockExit::Patched {
-                        next: page + (op.off as u64 + 2) * INSTR_SIZE,
-                        consumed: done + 2,
-                    };
+                if hits(ea, size, pages) {
+                    return BlockExit::Patched { next: op_pc(pages, op, 2), consumed: done + 2 };
                 }
             }
             Xor3 => {
@@ -1261,22 +1294,18 @@ fn exec_block<B: Bus + ?Sized>(
                         r[a] = v;
                         r[c] = (r[c] as u32).wrapping_add(v as u32) as u64;
                     }
-                    Err(fault) => {
-                        let at = page + op.off as u64 * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, 0, done, fault),
                 }
             }
             Hop => {}
             HCall => {
-                let ret = page + (op.off as u64 + 1) * INSTR_SIZE;
+                let ret = op_pc(pages, op, 1);
                 let sp = r[REG_SP as usize].wrapping_sub(8);
                 if let Err(fault) = bus.store(sp, 8, ret) {
-                    let at = page + op.off as u64 * INSTR_SIZE;
-                    return BlockExit::Fault { fault, at, consumed: done + 1 };
+                    return fault_in(pages, op, 0, done, fault);
                 }
                 r[REG_SP as usize] = sp;
-                if hits_trace(sp, 8, page, watch) {
+                if hits(sp, 8, pages) {
                     return BlockExit::Patched { next: op.imm, consumed: done + 1 };
                 }
                 // Control continues in-trace at the callee's lowering.
@@ -1289,18 +1318,15 @@ fn exec_block<B: Bus + ?Sized>(
                         if v != op.imm {
                             // The guest redirected the return: leave the
                             // trace for the actual target.
-                            return BlockExit::Seq { next: v, probe: false, consumed: done + 1 };
+                            return BlockExit::Seq { next: v, consumed: done + 1 };
                         }
                         // Expected return: continue at the caller's
                         // continuation, the next op in the trace.
                     }
-                    Err(fault) => {
-                        let at = page + op.off as u64 * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, 0, done, fault),
                 }
             }
-            TJmp => return BlockExit::Seq { next: op.imm, probe: false, consumed: done + 1 },
+            TJmp => return BlockExit::Seq { next: op.imm, consumed: done + 1 },
             TBeq | TBne | TBltu | TBgeu | TBlts | TBges => {
                 // Fused pre-op: 1 = loop-step addi, 2 = bound-constant movi.
                 if op.sz == 1 {
@@ -1318,51 +1344,38 @@ fn exec_block<B: Bus + ?Sized>(
                     _ => (x as i64) >= (y as i64),
                 };
                 if exit {
-                    return BlockExit::Seq {
-                        next: op.imm,
-                        probe: false,
-                        consumed: done + op.retire as u64,
-                    };
+                    return BlockExit::Seq { next: op.imm, consumed: done + op.retire as u64 };
                 }
                 // Not exiting: the trace continues with the next op.
             }
             TCall | TCallr => {
-                let ret = page + (op.off as u64 + 1) * INSTR_SIZE;
+                let ret = op_pc(pages, op, 1);
                 let target = if op.kind == TCall { op.imm } else { r[b] };
                 let sp = r[REG_SP as usize].wrapping_sub(8);
                 if let Err(fault) = bus.store(sp, 8, ret) {
-                    let at = page + op.off as u64 * INSTR_SIZE;
-                    return BlockExit::Fault { fault, at, consumed: done + 1 };
+                    return fault_in(pages, op, 0, done, fault);
                 }
                 r[REG_SP as usize] = sp;
-                if hits_trace(sp, 8, page, watch) {
+                if hits(sp, 8, pages) {
                     return BlockExit::Patched { next: target, consumed: done + 1 };
                 }
-                return BlockExit::Seq { next: target, probe: false, consumed: done + 1 };
+                return BlockExit::Seq { next: target, consumed: done + 1 };
             }
             TRet => {
                 let sp = r[REG_SP as usize];
                 match bus.load(sp, 8) {
                     Ok(v) => {
                         r[REG_SP as usize] = sp.wrapping_add(8);
-                        return BlockExit::Seq { next: v, probe: false, consumed: done + 1 };
+                        return BlockExit::Seq { next: v, consumed: done + 1 };
                     }
-                    Err(fault) => {
-                        let at = page + op.off as u64 * INSTR_SIZE;
-                        return BlockExit::Fault { fault, at, consumed: done + 1 };
-                    }
+                    Err(fault) => return fault_in(pages, op, 0, done, fault),
                 }
             }
-            TJmpr => return BlockExit::Seq { next: r[b], probe: false, consumed: done + 1 },
-            THalt => {
-                return BlockExit::Halt {
-                    next: page + (op.off as u64 + 1) * INSTR_SIZE,
-                    consumed: done + 1,
-                }
-            }
+            TJmpr => return BlockExit::Seq { next: r[b], consumed: done + 1 },
+            THalt => return BlockExit::Halt { next: op_pc(pages, op, 1), consumed: done + 1 },
             TOcall => {
                 return BlockExit::Ocall {
-                    next: page + (op.off as u64 + 1) * INSTR_SIZE,
+                    next: op_pc(pages, op, 1),
                     index: op.imm as i32,
                     consumed: done + 1,
                 }
@@ -1370,7 +1383,7 @@ fn exec_block<B: Bus + ?Sized>(
             TIntrin => {
                 // The interpreter commits pc past the intrin *before*
                 // dispatching, so an intrinsic fault reports that pc.
-                let next = page + (op.off as u64 + 1) * INSTR_SIZE;
+                let next = op_pc(pages, op, 1);
                 match bus.intrinsic(op.imm as i32, r) {
                     Ok(extra) => {
                         return BlockExit::Intrin { next, consumed: done + 1, extra };
@@ -1379,81 +1392,45 @@ fn exec_block<B: Bus + ?Sized>(
                 }
             }
             TIllegal => {
-                let at = page + op.off as u64 * INSTR_SIZE;
+                let at = op_pc(pages, op, 0);
                 return BlockExit::Fault {
                     fault: VmFault::IllegalInstruction { addr: at },
                     at,
                     consumed: done + 1,
                 };
             }
-            TFall => return BlockExit::Seq { next: op.imm, probe: false, consumed: done },
+            TFall => return BlockExit::Seq { next: op.imm, consumed: done },
         }
         done += op.retire as u64;
     }
     unreachable!("every superblock ends with a terminator")
 }
 
-/// Translates the block at `idx` in `slot`, offering the translator a
-/// two-page view when the sequentially next page is decodable — so traces
-/// (and hot loops) that straddle a page boundary stay in one superblock
-/// instead of ping-ponging through the dispatcher every iteration.
-/// Returns `None` when decoding the neighbour recycled this page's dcache
-/// slot (possible only at cache capacity); the caller then revalidates.
-fn translate_with_pair<B: Bus + ?Sized>(
-    vm: &mut Vm,
-    bus: &mut B,
-    slot: usize,
-    page: u64,
-    idx: usize,
-) -> Option<u32> {
-    let next_page = page + CODE_PAGE_SIZE;
-    let Some(slot2) = vm.dcache.validate(bus, next_page) else {
-        return Some(vm.trans.translate(slot, idx, vm.dcache.instrs(slot), page, None));
-    };
-    if vm.dcache.slot_page(slot) != page {
-        return None;
-    }
-    let gen2 = vm.dcache.generation(slot2);
-    // Crossing blocks already in the slot were translated against an older
-    // neighbour generation: drop them so every crossing block in the slot
-    // shares one (dep_page, dep_gen) pair.
-    let (dep_page, dep_gen) = {
-        let s = &vm.trans.slots[slot];
-        (s.dep_page, s.dep_gen)
-    };
-    if dep_page != u64::MAX && (dep_page, dep_gen) != (next_page, gen2) {
-        vm.trans.drop_dep(slot);
-    }
-    let mut view: Vec<Instr> = Vec::with_capacity(2 * INSTRS_PER_PAGE);
-    view.extend_from_slice(vm.dcache.instrs(slot));
-    view.extend_from_slice(vm.dcache.instrs(slot2));
-    Some(vm.trans.translate(slot, idx, &view, page, Some((next_page, gen2))))
-}
-
 /// Runs the VM under superblock translation until an exit or fault,
 /// falling back to the interpreter loop wherever translation does not
 /// apply. Drives [`Vm::pc`]/[`Vm::retired`]/[`ExecStats`] exactly like the
 /// interpreter would.
+///
+/// [`ExecStats`]: crate::interp::ExecStats
 pub(crate) fn run_superblock<B: Bus + ?Sized>(
     vm: &mut Vm,
     bus: &mut B,
     mut fuel: u64,
 ) -> Result<Exit, VmFault> {
+    // Set when the page at `vm.pc` probed fine but its bytes could not be
+    // fetched: the interpreter then runs (and reports the exact fault).
+    let mut untranslatable = false;
     loop {
         let pc = vm.pc;
         // Misaligned or untranslatable pc: let the interpreter execute; it
         // bails back here once it lands aligned on a translatable page.
-        if pc & (INSTR_SIZE - 1) != 0 {
-            match vm.run_interp(bus, fuel, true) {
-                InterpOutcome::Done(r) => return r,
-                InterpOutcome::Retranslate { fuel_left } => {
-                    fuel = fuel_left;
-                    continue;
-                }
-            }
-        }
-        let page = pc & !PAGE_MASK;
-        let Some(slot) = vm.dcache.validate(bus, page) else {
+        let gen = if pc & (INSTR_SIZE - 1) == 0 && !untranslatable {
+            bus.exec_page_generation(pc & !PAGE_MASK)
+        } else {
+            None
+        };
+        let Some(gen) = gen else {
+            untranslatable = false;
             match vm.run_interp(bus, fuel, true) {
                 InterpOutcome::Done(r) => return r,
                 InterpOutcome::Retranslate { fuel_left } => {
@@ -1462,38 +1439,46 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
                 }
             }
         };
-        vm.trans.ensure(slot, page, vm.dcache.generation(slot));
+        let mut page = pc & !PAGE_MASK;
+        let mut slot = vm.trans.enter(bus, page, gen);
+        let mut checked = vm.trans.slots[slot].checked;
         let mut idx = ((pc & PAGE_MASK) >> 3) as usize;
-        // Same-page chain: blocks on this page execute without another bus
-        // probe. Sound because a store that could change this page's bytes
-        // (or a watched neighbour's) exits via `Patched`, and everything
-        // else that moves a page's generation (host writes, EWB/ELDU,
-        // intrinsics) either cannot happen mid-run or forces `probe`.
+        // The chain: block exits go straight to the next block while the
+        // code epoch vouches for it. Sound because a store that changes a
+        // page the executing block lowered exits via `Patched`, and
+        // everything else that moves an executable page's generation
+        // (other stores, host writes, EWB/ELDU, intrinsics) moves the code
+        // epoch. With no code epoch the chain stays on its page (and not
+        // past an intrinsic, which may write any page), so EPC paging and
+        // LRU stamps see every page change, and blocks that lowered other
+        // pages probe them on entry.
         loop {
-            let block_id = match vm.trans.block_id(slot, idx) {
-                Some(id) => id,
-                None => {
+            let (block_id, fresh) = match vm.trans.slots[slot].block_at[idx] {
+                0 => {
                     vm.stats.blocks_translated += 1;
-                    match translate_with_pair(vm, bus, slot, page, idx) {
-                        Some(id) => id,
-                        // Decoding the neighbour recycled this page's
-                        // dcache slot: revalidate from the top.
-                        None => break,
+                    match vm.trans.translate(&mut vm.dcache, bus, slot, idx) {
+                        Some(id) => (id, true),
+                        None => {
+                            untranslatable = true;
+                            break;
+                        }
                     }
                 }
+                id => (id - 1, false),
             };
             let block = &vm.trans.slots[slot].blocks[block_id as usize];
-            let (cost, watch) = (block.cost, block.watch);
-            // A crossing block embeds instructions from the neighbour
-            // page: its generation must still match the one it was
-            // translated against (a store from a chained block, or any
-            // write between runs, may have moved it).
-            if watch != u64::MAX
-                && bus.exec_page_generation(watch) != Some(vm.trans.slots[slot].dep_gen)
+            // A block lowered just now is current by construction; with no
+            // code epoch an older one re-checks the other pages it lowered.
+            if !fresh
+                && block.pages[1] != NO_PAGE
+                && checked == UNCHECKED
+                && !vm.trans.deps_current(slot, block_id, bus)
             {
-                vm.trans.drop_dep(slot);
+                let s = &mut vm.trans.slots[slot];
+                s.clear(s.gen);
                 continue;
             }
+            let cost = block.cost;
             if fuel < cost {
                 // Less fuel than one block: the interpreter finishes the
                 // run with exact per-instruction OutOfFuel semantics.
@@ -1505,18 +1490,13 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
             }
             fuel -= cost;
             vm.stats.blocks_entered += 1;
-            let block = &vm.trans.slots[slot].blocks[block_id as usize];
-            match exec_block(&block.ops, page, watch, &mut vm.regs, bus) {
-                BlockExit::Seq { next, probe, consumed } => {
+            let exit = exec_block(&block.ops, &block.pages, &mut vm.regs, bus);
+            let (next, intrin) = match exit {
+                BlockExit::Seq { next, consumed } => {
                     fuel += cost - consumed;
                     vm.retired += consumed;
                     vm.stats.trans_retired += consumed;
-                    vm.pc = next;
-                    if !probe && next & !PAGE_MASK == page && next & (INSTR_SIZE - 1) == 0 {
-                        idx = ((next & PAGE_MASK) >> 3) as usize;
-                        continue;
-                    }
-                    break;
+                    (next, false)
                 }
                 BlockExit::Intrin { next, consumed, extra } => {
                     fuel += cost - consumed;
@@ -1529,7 +1509,7 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
                         return Err(VmFault::OutOfFuel);
                     }
                     fuel -= extra;
-                    break;
+                    (next, true)
                 }
                 BlockExit::Patched { next, consumed } => {
                     fuel += cost - consumed;
@@ -1556,7 +1536,26 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
                     vm.pc = at;
                     return Err(fault);
                 }
+            };
+            vm.pc = next;
+            if next & (INSTR_SIZE - 1) != 0 {
+                break;
             }
+            let next_page = next & !PAGE_MASK;
+            let epoch = bus.code_epoch();
+            if next_page != page {
+                // Another page: any slot confirmed at the current epoch.
+                let Some(epoch) = epoch else { break };
+                match vm.trans.lookup(next_page) {
+                    Some(s) if vm.trans.slots[s].checked == epoch => {
+                        (page, slot, checked) = (next_page, s, epoch);
+                    }
+                    _ => break,
+                }
+            } else if epoch.map_or(intrin, |epoch| epoch != checked) {
+                break;
+            }
+            idx = ((next & PAGE_MASK) >> 3) as usize;
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use elide_vm::interp::{Engine, Exit, Vm};
 use elide_vm::isa::{Instr, Opcode};
-use elide_vm::mem::{FlatMemory, VmFault};
+use elide_vm::mem::{Bus, FlatMemory, VmFault};
 
 const BASE: u64 = 0x10000;
 const DATA: u64 = BASE + 0x2000;
@@ -483,5 +483,441 @@ fn fuel_exhaustion_agrees() {
             (res, vm.regs[1], vm.pc, vm.retired)
         };
         assert_eq!(run(Engine::Interp), run(Engine::Superblock), "fuel={fuel}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-page programs: code laid over three pages, so traces, chains and
+// invalidation all cross page boundaries.
+// ---------------------------------------------------------------------------
+
+/// Code pages of a multi-page program, from `BASE`.
+const MP_PAGES: usize = 3;
+/// Instruction slots per page.
+const SLOTS: usize = 512;
+/// Data for multi-page programs: clear of the code pages and the stack.
+const MP_DATA: u64 = BASE + 0x4000;
+/// Offset from `MP_DATA` of the table of encoded patch instructions.
+const PATCHES: u64 = 0x800;
+
+/// One function of a multi-page program: where it starts and how many
+/// slots it spans.
+struct Func {
+    start: usize,
+    len: usize,
+}
+
+/// Lays a random program over [`MP_PAGES`] pages. `main` on page 0 calls
+/// four functions in a loop. Two of them straddle a page boundary and
+/// every function runs a counted loop whose back-edge may therefore cross
+/// pages. Bodies mix ALU work, data loads and stores, forward branches and
+/// jumps, calls to later functions (direct and through `callr`), tail
+/// jumps, stores that patch an instruction of a function on another page
+/// — with a valid encoded `addi` (so the patch runs), or with register
+/// garbage when `garbage` is set — and MEMCPY intrinsics that patch any
+/// function. Returns one instruction per slot; unused slots stay illegal.
+fn gen_multipage(rng: &mut Rng, garbage: bool) -> Vec<Instr> {
+    use Opcode::*;
+    let alu2 = [Add, Sub, Mul, And, Or, Xor, Shl, Shru, Rotl32, Add32, Sub32];
+    let alui = [Addi, Andi, Ori, Xori, Shli, Shrui, Rotl32i, Add32i];
+    // Registers: r1..r5 scratch, r6 = 1 << 32 (one step of an encoded
+    // immediate), r7 patch value, r8 zero, r9..r12 loop counters of
+    // f0..f3, r0 main's counter, r13 data, r14 BASE, r15 sp.
+    let scratch = |rng: &mut Rng| 1 + rng.below(5) as u8;
+    let src = |rng: &mut Rng| 1 + rng.below(8) as u8;
+
+    let lens: Vec<usize> = (0..4).map(|_| 16 + rng.below(40) as usize).collect();
+    let funcs = [
+        // f0 straddles the page 0/1 boundary.
+        Func { start: SLOTS - 4 - rng.below(lens[0] as u64 - 8) as usize, len: lens[0] },
+        // f1 sits inside page 1.
+        Func { start: SLOTS + 150 + rng.below(100) as usize, len: lens[1] },
+        // f2 straddles the page 1/2 boundary.
+        Func { start: 2 * SLOTS - 4 - rng.below(lens[2] as u64 - 8) as usize, len: lens[2] },
+        // f3 sits inside page 2.
+        Func { start: 2 * SLOTS + 200 + rng.below(100) as usize, len: lens[3] },
+    ];
+    let mut l = Layout { prog: vec![Instr::new(Illegal, 0, 0, 0, 0); MP_PAGES * SLOTS], at: 0 };
+    let page_of = |slot: usize| slot / SLOTS;
+
+    // main: r8 = 0, r0 = loop count, call each function, loop, halt.
+    l.put(Instr::new(Movi, 8, 0, 0, 0));
+    l.put(Instr::new(Movi, 0, 0, 0, 1 + rng.below(3) as i32));
+    let head = l.at;
+    for _ in 0..2 + rng.below(4) {
+        let f = &funcs[rng.below(4) as usize];
+        l.put(Instr::new(Call, 0, 0, 0, l.rel(f.start)));
+    }
+    l.put(Instr::new(Addi, 0, 0, 0, -1));
+    l.put(Instr::new(Bne, 0, 8, 0, l.rel(head)));
+    l.put(Instr::new(Halt, 0, 0, 0, 0));
+
+    // Slots a patch may target: plain ALU slots of each function.
+    let mut patchable: Vec<Vec<usize>> = vec![Vec::new(); 4];
+    // Patch stores to resolve once every function is laid out:
+    // (store slot, storing function).
+    let mut patch_sites: Vec<(usize, usize)> = Vec::new();
+    // MEMCPY patches to resolve: the slot of their destination `movi`.
+    let mut memcpy_sites: Vec<usize> = Vec::new();
+    for (fi, f) in funcs.iter().enumerate() {
+        let ctr = 9 + fi as u8;
+        let end = f.start + f.len;
+        l.at = f.start;
+        l.put(Instr::new(Movi, ctr, 0, 0, 1 + rng.below(3) as i32));
+        let head = l.at;
+        // The loop tail: counter step, back-edge, ret.
+        let body_end = end - 3;
+        while l.at < body_end {
+            let room = body_end - l.at;
+            let roll = rng.below(100);
+            if roll < 30 {
+                let op = alu2[rng.below(alu2.len() as u64) as usize];
+                patchable[fi].push(l.at);
+                l.put(Instr::new(op, scratch(rng), src(rng), src(rng), 0));
+            } else if roll < 45 {
+                let op = alui[rng.below(alui.len() as u64) as usize];
+                patchable[fi].push(l.at);
+                l.put(Instr::new(op, scratch(rng), src(rng), 0, rng.next() as i32));
+            } else if roll < 55 {
+                let op = [Ld8u, Ld32u, Ld64][rng.below(3) as usize];
+                l.put(Instr::new(op, scratch(rng), 13, 0, rng.below(0x7F0) as i32));
+            } else if roll < 62 {
+                let op = [St8, St32, St64][rng.below(3) as usize];
+                l.put(Instr::new(op, src(rng), 13, 0, rng.below(0x7F0) as i32));
+            } else if roll < 72 && room >= 4 {
+                // Patch another function's instruction. A table patch
+                // bumps its entry's immediate afterwards, so every run of
+                // the site writes code that behaves differently.
+                if garbage && rng.below(2) == 0 {
+                    l.put(Instr::new(Mov, 7, src(rng), 0, 0));
+                    patch_sites.push((l.at, fi));
+                    l.put(Instr::new(St64, 7, 14, 0, 0));
+                } else {
+                    let t = PATCHES as i32 + rng.below(16) as i32 * 8;
+                    l.put(Instr::new(Ld64, 7, 13, 0, t));
+                    patch_sites.push((l.at, fi));
+                    l.put(Instr::new(St64, 7, 14, 0, 0));
+                    l.put(Instr::new(Add, 7, 7, 6, 0));
+                    l.put(Instr::new(St64, 7, 13, 0, t));
+                }
+            } else if roll < 75 && room >= 4 {
+                // Patch through the MEMCPY intrinsic: any function's
+                // instruction, this one's included.
+                let t = PATCHES as i32 + rng.below(16) as i32 * 8;
+                memcpy_sites.push(l.at);
+                l.put(Instr::new(Movi, 1, 0, 0, 0));
+                l.put(Instr::new(Movi, 2, 0, 0, (MP_DATA as i32) + t));
+                l.put(Instr::new(Movi, 3, 0, 0, 8));
+                l.put(Instr::new(Intrin, 0, 0, 0, 9));
+            } else if roll < 80 {
+                // Forward branch inside the body.
+                let op = [Beq, Bne, Bltu, Bgeu][rng.below(4) as usize];
+                let to = l.at + 1 + rng.below((body_end - l.at) as u64) as usize;
+                l.put(Instr::new(op, src(rng), src(rng), 0, l.rel(to)));
+            } else if roll < 84 {
+                let to = l.at + 1 + rng.below((body_end - l.at) as u64) as usize;
+                l.put(Instr::new(Jmp, 0, 0, 0, l.rel(to)));
+            } else if roll < 92 && fi < 3 {
+                // Call a later function (no recursion).
+                let g = &funcs[fi + 1 + rng.below(3 - fi as u64) as usize];
+                l.put(Instr::new(Call, 0, 0, 0, l.rel(g.start)));
+            } else if roll < 95 && fi < 3 && room >= 2 {
+                // The same call, through a register.
+                let g = &funcs[fi + 1 + rng.below(3 - fi as u64) as usize];
+                let target = BASE + g.start as u64 * 8;
+                l.put(Instr::new(Movi, 7, 0, 0, target as i32));
+                l.put(Instr::new(Callr, 0, 7, 0, 0));
+            } else if roll < 97 && fi < 3 {
+                // Tail jump into a later function: its ret returns to
+                // this function's caller.
+                let g = &funcs[fi + 1 + rng.below(3 - fi as u64) as usize];
+                l.put(Instr::new(Jmp, 0, 0, 0, l.rel(g.start)));
+            } else {
+                patchable[fi].push(l.at);
+                l.put(Instr::new(Movi, scratch(rng), 0, 0, rng.next() as i32));
+            }
+        }
+        l.put(Instr::new(Addi, ctr, ctr, 0, -1));
+        l.put(Instr::new(Bne, ctr, 8, 0, l.rel(head)));
+        l.put(Instr::new(Ret, 0, 0, 0, 0));
+    }
+    // Aim each patch store at an ALU slot of a function on another page.
+    for (site, fi) in patch_sites {
+        let targets: Vec<usize> = (0..4)
+            .filter(|&g| g != fi)
+            .flat_map(|g| patchable[g].iter().copied())
+            .filter(|&t| page_of(t) != page_of(site))
+            .collect();
+        if targets.is_empty() {
+            continue;
+        }
+        let t = targets[rng.below(targets.len() as u64) as usize];
+        l.prog[site].imm = (t * 8) as i32;
+    }
+    let targets: Vec<usize> = patchable.concat();
+    for site in memcpy_sites {
+        let t = targets[rng.below(targets.len() as u64) as usize];
+        l.prog[site].imm = (BASE + t as u64 * 8) as i32;
+    }
+    l.prog
+}
+
+/// A program image being laid out slot by slot.
+struct Layout {
+    prog: Vec<Instr>,
+    /// The next slot to fill.
+    at: usize,
+}
+
+impl Layout {
+    fn put(&mut self, ins: Instr) {
+        self.prog[self.at] = ins;
+        self.at += 1;
+    }
+
+    /// The branch offset from the next slot to fill to `to`.
+    fn rel(&self, to: usize) -> i32 {
+        ((to as i64 - (self.at as i64 + 1)) * 8) as i32
+    }
+}
+
+/// A [`FlatMemory`] that reports no code epoch, like an enclave under an
+/// EPC budget: the superblock engine must then probe every page it enters
+/// and every other page a block lowered.
+struct NoEpoch(FlatMemory);
+
+impl Bus for NoEpoch {
+    fn load(&mut self, addr: u64, size: usize) -> Result<u64, VmFault> {
+        self.0.load(addr, size)
+    }
+
+    fn store(&mut self, addr: u64, size: usize, value: u64) -> Result<(), VmFault> {
+        self.0.store(addr, size, value)
+    }
+
+    fn fetch(&mut self, addr: u64) -> Result<[u8; 8], VmFault> {
+        self.0.fetch(addr)
+    }
+
+    fn intrinsic(&mut self, index: i32, regs: &mut [u64; 16]) -> Result<u64, VmFault> {
+        self.0.intrinsic(index, regs)
+    }
+
+    fn exec_page_generation(&mut self, page_addr: u64) -> Option<u64> {
+        self.0.exec_page_generation(page_addr)
+    }
+
+    fn fetch_exec_page(&mut self, page_addr: u64, buf: &mut [u8; 4096]) -> Result<u64, VmFault> {
+        self.0.fetch_exec_page(page_addr, buf)
+    }
+}
+
+/// How a multi-page program runs: the engine, and for superblocks whether
+/// the bus reports a code epoch.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Interp,
+    Superblock,
+    SuperblockNoEpoch,
+}
+
+/// Runs a multi-page program in `mode`: registers, pc, retired count and
+/// exit, plus every byte of memory (the patches land in code).
+fn run_multipage(
+    prog: &[Instr],
+    seed: u64,
+    mode: Mode,
+) -> (Result<Exit, VmFault>, [u64; 16], u64, u64, Vec<u8>) {
+    use Opcode::*;
+    let mut mem = FlatMemory::new(BASE, MEM_SIZE);
+    for (i, ins) in prog.iter().enumerate() {
+        mem.write_at(BASE + i as u64 * 8, &ins.encode());
+    }
+    let mut rng = Rng(seed | 1);
+    for w in 0..0x100u64 {
+        mem.write_at(MP_DATA + w * 8, &rng.next().to_le_bytes());
+    }
+    for t in 0..16u64 {
+        let a = 1 + rng.below(6) as u8;
+        let patch = Instr::new(Addi, a, a, 0, rng.below(1000) as i32 + 1);
+        mem.write_at(MP_DATA + PATCHES + t * 8, &patch.encode());
+    }
+    let mut vm = Vm::new(BASE);
+    vm.set_engine(match mode {
+        Mode::Interp => Engine::Interp,
+        Mode::Superblock | Mode::SuperblockNoEpoch => Engine::Superblock,
+    });
+    for r in 1..8 {
+        vm.regs[r] = rng.next();
+    }
+    vm.regs[6] = 1 << 32;
+    vm.regs[13] = MP_DATA;
+    vm.regs[14] = BASE;
+    vm.regs[15] = STACK_TOP;
+    let res = match mode {
+        Mode::SuperblockNoEpoch => {
+            let mut bus = NoEpoch(mem);
+            let res = vm.run(&mut bus, FUEL);
+            mem = bus.0;
+            res
+        }
+        _ => vm.run(&mut mem, FUEL),
+    };
+    (res, vm.regs, vm.pc, vm.retired, mem.read_at(BASE, MEM_SIZE).to_vec())
+}
+
+fn assert_multipage_agree(prog: &[Instr], seed: u64) {
+    let (ri, regs_i, pc_i, ret_i, mem_i) = run_multipage(prog, seed, Mode::Interp);
+    for mode in [Mode::Superblock, Mode::SuperblockNoEpoch] {
+        let (rs, regs_s, pc_s, ret_s, mem_s) = run_multipage(prog, seed, mode);
+        assert_eq!(ri, rs, "exit/fault diverged (seed {seed:#x}, {mode:?})");
+        assert_eq!(ret_i, ret_s, "retired count diverged (seed {seed:#x}, {mode:?})");
+        assert_eq!(pc_i, pc_s, "pc diverged (seed {seed:#x}, {mode:?})");
+        assert_eq!(regs_i, regs_s, "registers diverged (seed {seed:#x}, {mode:?})");
+        assert!(mem_i == mem_s, "memory diverged (seed {seed:#x}, {mode:?})");
+    }
+}
+
+#[test]
+fn multipage_programs_agree() {
+    for case in 0..300u64 {
+        let seed = 0x3A6E_0000 + case;
+        let mut rng = Rng(seed.wrapping_mul(0x6C62_272E_07BB_0142) | 1);
+        let prog = gen_multipage(&mut rng, false);
+        assert_multipage_agree(&prog, seed);
+    }
+}
+
+#[test]
+fn multipage_programs_with_garbage_patches_agree() {
+    // Half the cross-page patches write register garbage: the patched
+    // function may then fault, branch wild or run off its end.
+    for case in 0..200u64 {
+        let seed = 0x6A4B_0000 + case;
+        let mut rng = Rng(seed.wrapping_mul(0x6C62_272E_07BB_0142) | 1);
+        let prog = gen_multipage(&mut rng, true);
+        assert_multipage_agree(&prog, seed);
+    }
+}
+
+/// Writes `code` as `(slot, instruction)` pairs into a fresh memory image.
+fn image(code: &[(usize, Instr)]) -> FlatMemory {
+    let mut mem = FlatMemory::new(BASE, MEM_SIZE);
+    for &(slot, ins) in code {
+        mem.write_at(BASE + slot as u64 * 8, &ins.encode());
+    }
+    mem
+}
+
+/// A loop that straddles the page 1/2 boundary and calls a helper on
+/// page 0 every iteration. Page boundaries must not cut the loop into
+/// blocks: the trace follows the call and the back-edge across pages and
+/// unrolls, so the superblocks entered stay far below one per iteration
+/// (a trace confined to one page pair entered two per iteration).
+#[test]
+fn straddling_loop_stays_in_one_trace() {
+    use Opcode::*;
+    const H: usize = 200;
+    const L: usize = 2 * SLOTS - 4;
+    let code = [
+        (0, Instr::new(Movi, 8, 0, 0, 0)),
+        (1, Instr::new(Jmp, 0, 0, 0, ((L as i64 - 2) * 8) as i32)),
+        // Helper on page 0.
+        (H, Instr::new(Addi, 1, 1, 0, 1)),
+        (H + 1, Instr::new(Ret, 0, 0, 0, 0)),
+        // The loop: head on page 1, tail and back-edge on page 2.
+        (L, Instr::new(Addi, 3, 3, 0, 3)),
+        (L + 1, Instr::new(Call, 0, 0, 0, ((H as i64 - (L as i64 + 2)) * 8) as i32)),
+        (L + 2, Instr::new(Addi, 4, 4, 0, 1)),
+        (L + 3, Instr::new(Xor, 5, 5, 3, 0)),
+        (L + 4, Instr::new(Addi, 2, 2, 0, -1)),
+        (L + 5, Instr::new(Bne, 2, 8, 0, -6 * 8)),
+        (L + 6, Instr::new(Halt, 0, 0, 0, 0)),
+    ];
+    let run = |engine: Engine, iters: u64| {
+        let mut mem = image(&code);
+        let mut vm = Vm::new(BASE);
+        vm.set_engine(engine);
+        vm.regs[2] = iters;
+        vm.regs[15] = STACK_TOP;
+        let exit = vm.run(&mut mem, 100_000).expect("run");
+        assert_eq!(exit, Exit::Halt(0));
+        assert_eq!(vm.regs[1], iters, "helper ran once per iteration under {engine:?}");
+        assert_eq!(vm.regs[3], 3 * iters);
+        (vm.stats.blocks_entered, vm.regs, vm.retired)
+    };
+    for iters in [1000u64, 2000] {
+        let (_, regs_i, retired_i) = run(Engine::Interp, iters);
+        let (blocks, regs_s, retired_s) = run(Engine::Superblock, iters);
+        assert_eq!((regs_i, retired_i), (regs_s, retired_s), "engines diverged at {iters}");
+        assert!(
+            blocks * 10 <= iters,
+            "{blocks} superblocks for {iters} iterations: page boundaries cut the loop"
+        );
+    }
+}
+
+/// A block on page 1 patches an instruction on page 0 that the loop
+/// re-enters — once from the loop's own trace (which lowered page 0
+/// through the call it follows, so the store exits `Patched`), once from a
+/// function on page 2 reached through `callr` (whose block never lowered
+/// page 0, so only the code epoch reports the change; it writes a new
+/// immediate every run). Every iteration after a patch must run the latest
+/// patch, under both engines.
+#[test]
+fn cross_page_store_invalidates_mid_run() {
+    use Opcode::*;
+    const T: usize = 300;
+    const U: usize = 310;
+    const L: usize = SLOTS + 100;
+    const P: usize = 2 * SLOTS + 6;
+    let patch_t = Instr::new(Addi, 1, 1, 0, 100);
+    let patch_u = Instr::new(Addi, 4, 4, 0, 1000);
+    let code = [
+        (0, Instr::new(Ld64, 3, 13, 0, 0)),
+        (1, Instr::new(Ld64, 5, 13, 0, 8)),
+        (2, Instr::new(Movi, 6, 0, 0, (BASE + P as u64 * 8) as i32)),
+        (3, Instr::new(Jmp, 0, 0, 0, ((L as i64 - 4) * 8) as i32)),
+        // Two functions on page 0: T is patched from page 1, U from page 2.
+        (T, Instr::new(Addi, 1, 1, 0, 1)),
+        (T + 1, Instr::new(Ret, 0, 0, 0, 0)),
+        (U, Instr::new(Addi, 4, 4, 0, 1)),
+        (U + 1, Instr::new(Ret, 0, 0, 0, 0)),
+        // The loop on page 1.
+        (L, Instr::new(Call, 0, 0, 0, ((T as i64 - (L as i64 + 1)) * 8) as i32)),
+        (L + 1, Instr::new(Call, 0, 0, 0, ((U as i64 - (L as i64 + 2)) * 8) as i32)),
+        (L + 2, Instr::new(St64, 3, 14, 0, (T * 8) as i32)),
+        (L + 3, Instr::new(Callr, 0, 6, 0, 0)),
+        (L + 4, Instr::new(Addi, 2, 2, 0, -1)),
+        (L + 5, Instr::new(Bne, 2, 0, 0, -6 * 8)),
+        (L + 6, Instr::new(Halt, 0, 0, 0, 0)),
+        // P on page 2 patches U, then bumps the patch's immediate.
+        (P, Instr::new(St64, 5, 14, 0, (U * 8) as i32)),
+        (P + 1, Instr::new(Movi, 7, 0, 0, 1)),
+        (P + 2, Instr::new(Shli, 7, 7, 0, 32)),
+        (P + 3, Instr::new(Add, 5, 5, 7, 0)),
+        (P + 4, Instr::new(Ret, 0, 0, 0, 0)),
+    ];
+    for mode in [Mode::Interp, Mode::Superblock, Mode::SuperblockNoEpoch] {
+        let mut mem = image(&code);
+        mem.write_at(MP_DATA, &patch_t.encode());
+        mem.write_at(MP_DATA + 8, &patch_u.encode());
+        let mut vm = Vm::new(BASE);
+        if let Mode::Interp = mode {
+            vm.set_engine(Engine::Interp);
+        }
+        vm.regs[2] = 10;
+        vm.regs[13] = MP_DATA;
+        vm.regs[14] = BASE;
+        vm.regs[15] = STACK_TOP;
+        let exit = match mode {
+            Mode::SuperblockNoEpoch => vm.run(&mut NoEpoch(mem), FUEL),
+            _ => vm.run(&mut mem, FUEL),
+        };
+        assert_eq!(exit.expect("run"), Exit::Halt(0));
+        // Iteration 1 runs both originals; iteration k = 2..=10 runs T's
+        // patch and U's (k-2)th bump.
+        assert_eq!(vm.regs[1], 1 + 9 * 100, "stale T under {mode:?}");
+        assert_eq!(vm.regs[4], 1 + (1000..1009).sum::<u64>(), "stale U under {mode:?}");
     }
 }

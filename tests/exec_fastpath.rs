@@ -100,3 +100,48 @@ fn sanitized_page_faults_as_illegal_until_restored() {
     p.restore().unwrap();
     assert_eq!(p.app.runtime.ecall(p.indices["victim"], &[], 0).unwrap().status, 7);
 }
+
+/// The whitelisted runtime sits in front of a protected build's app code,
+/// so the protected build lays every hot loop out at a different page
+/// offset than the plain build does. Superblocks ignore page boundaries,
+/// so the layout must not change how the work is cut into blocks: on the
+/// same warm workload each protected build enters at most 1.10x the
+/// superblocks its plain build enters.
+#[test]
+fn protected_layout_enters_no_more_superblocks_than_plain() {
+    use sgxelide::apps::harness::launch_plain;
+    use sgxelide::apps::{aes_app, des_app, json_app, merkle_app, run_workload, sha1_app, xtea};
+    use sgxelide::enclave::EnclaveRuntime;
+    use std::collections::HashMap;
+
+    // Blocks entered by one warm run (a first run translates).
+    fn warm_blocks(name: &str, rt: &mut EnclaveRuntime, indices: &HashMap<String, u64>) -> u64 {
+        run_workload(name, rt, indices);
+        let before = rt.exec_stats().blocks_entered;
+        run_workload(name, rt, indices);
+        rt.exec_stats().blocks_entered - before
+    }
+
+    let apps = [
+        aes_app::app(),
+        des_app::app(),
+        sha1_app::app(),
+        xtea::app(),
+        json_app::app(),
+        merkle_app::app(),
+    ];
+    for app in apps {
+        let mut plain = launch_plain(&app, 42).unwrap();
+        let mut prot = launch_protected(&app, DataPlacement::Remote, 42).unwrap();
+        prot.restore().unwrap();
+        let p = warm_blocks(app.name, &mut plain.runtime, &plain.indices);
+        let e = warm_blocks(app.name, &mut prot.app.runtime, &prot.indices);
+        assert!(p > 0, "{}: the plain build entered no superblock", app.name);
+        assert!(
+            e * 100 <= p * 110,
+            "{}: protected build entered {e} superblocks against plain {p} ({:.2}x)",
+            app.name,
+            e as f64 / p as f64
+        );
+    }
+}
