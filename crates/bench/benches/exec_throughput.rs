@@ -7,8 +7,8 @@
 //!
 //! Launch and restore are *excluded* from the timed region: this isolates
 //! the execution engine itself, and the `plain`/`interp` ratio is the
-//! speedup the superblock translator buys over the decode-cache
-//! interpreter.
+//! speedup the superblock translator buys over the reference interpreter,
+//! which fetches and decodes every instruction.
 //!
 //! Each repetition is timed separately and the **minimum** per-rep time is
 //! reported: on shared machines the distribution is one-sided (interference

@@ -10,6 +10,9 @@
 //! (translator speedup over the interpreter on the same machine, same
 //! binary, same run), which is stable across hosts. A translator change
 //! that loses >20% of its speedup fails the gate even on a faster machine.
+//! The interp arm is the reference interpreter, a plain fetch–decode–
+//! execute loop with no code cache, so the ratio is the translator's
+//! speedup over fetching and decoding every instruction.
 //! Every row times its arms with `elide_bench::best_of_alternating`, the
 //! sampler the tracked bench uses: the arms of a ratio run in the same
 //! rounds, so a slow phase of the host lands on both sides of it.

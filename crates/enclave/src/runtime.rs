@@ -338,6 +338,35 @@ impl EnclaveWorld {
         self.write_guest(addr, &bytes[..size])
     }
 
+    /// Every instruction fetch [`Enclave::fetch_prim`] cannot serve, and
+    /// every fetch while the page trace records: the trace push, the
+    /// budget's page-in of an evicted code page, and the exact faults.
+    #[inline(never)]
+    fn fetch_slow(&mut self, addr: u64) -> Result<[u8; 8], VmFault> {
+        // Enclave mode: instruction fetches outside ELRANGE are prohibited.
+        if !self.in_enclave(addr) {
+            return Err(VmFault::AccessViolation { addr, access: Access::Execute });
+        }
+        if let Some(trace) = &mut self.page_trace {
+            let page = addr & !0xFFF;
+            if trace.last() != Some(&page) {
+                trace.push(page);
+            }
+        }
+        let mut raw = [0u8; 8];
+        if let Err(e) = self.enclave.read_into(addr, &mut raw, AccessKind::Execute) {
+            let reloaded = matches!(e, sgx_sim::SgxError::PageNotPresent { .. })
+                && self.budget_page_in(addr, Access::Execute)?;
+            if !reloaded {
+                return Err(map_sgx_fault(e, addr, Access::Execute));
+            }
+            self.enclave
+                .read_into(addr, &mut raw, AccessKind::Execute)
+                .map_err(|e| map_sgx_fault(e, addr, Access::Execute))?;
+        }
+        Ok(raw)
+    }
+
     /// Validates one operand range of a bulk intrinsic: non-empty, under
     /// the [`BULK_MAX`] cap, and not wrapping the address space.
     fn check_bulk_range(index: i32, addr: u64, len: u64) -> Result<(), VmFault> {
@@ -454,29 +483,16 @@ impl Bus for EnclaveWorld {
         self.store_slow(addr, size, value)
     }
 
+    #[inline(always)]
     fn fetch(&mut self, addr: u64) -> Result<[u8; 8], VmFault> {
-        // Enclave mode: instruction fetches outside ELRANGE are prohibited.
-        if !self.in_enclave(addr) {
-            return Err(VmFault::AccessViolation { addr, access: Access::Execute });
-        }
-        if let Some(trace) = &mut self.page_trace {
-            let page = addr & !0xFFF;
-            if trace.last() != Some(&page) {
-                trace.push(page);
+        // The controlled-channel trace records every fetch, so it takes
+        // the slow path.
+        if self.page_trace.is_none() {
+            if let Some(raw) = self.enclave.fetch_prim(addr) {
+                return Ok(raw);
             }
         }
-        let mut raw = [0u8; 8];
-        if let Err(e) = self.enclave.read_into(addr, &mut raw, AccessKind::Execute) {
-            let reloaded = matches!(e, sgx_sim::SgxError::PageNotPresent { .. })
-                && self.budget_page_in(addr, Access::Execute)?;
-            if !reloaded {
-                return Err(map_sgx_fault(e, addr, Access::Execute));
-            }
-            self.enclave
-                .read_into(addr, &mut raw, AccessKind::Execute)
-                .map_err(|e| map_sgx_fault(e, addr, Access::Execute))?;
-        }
-        Ok(raw)
+        self.fetch_slow(addr)
     }
 
     fn exec_page_generation(&mut self, page_addr: u64) -> Option<u64> {
@@ -694,8 +710,8 @@ pub struct EnclaveRuntime {
     /// Instruction budget per ecall.
     pub fuel: u64,
     retired_total: u64,
-    /// The persistent VM: decode and translation caches (and their
-    /// counters) survive across ecalls — real enclaves do not lose their
+    /// The persistent VM: its code cache (and its counters) survives
+    /// across ecalls — real enclaves do not lose their
     /// icache at EENTER either. Registers, pc and sp are reset at every
     /// entry, so no guest state leaks between ecalls.
     vm: Vm,

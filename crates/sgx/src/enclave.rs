@@ -107,8 +107,8 @@ pub struct Enclave {
     /// instead of a tree lookup on the interpreter's hot path.
     pages: Vec<Option<EpcPage>>,
     /// Per-page generation stamps (same indexing): moved on every write,
-    /// restore, or eviction touching the page. The interpreter's decode
-    /// cache uses them for icache-style invalidation.
+    /// restore, or eviction touching the page. The VM's code cache uses
+    /// them for icache-style invalidation.
     page_gens: Vec<u64>,
     /// Per-page access stamps (same indexing): moved by `EADD`, reloads,
     /// and — while `stamp_accesses` is set — every load, store and execute
@@ -442,6 +442,32 @@ impl Enclave {
         Some(value)
     }
 
+    /// Instruction-fetch fast path behind the interpreter: the 8 bytes at
+    /// `vaddr`, within one executable page; the execute-side mirror of
+    /// [`Enclave::load_prim`]. Returns `None` whenever the fast conditions
+    /// do not hold — page-crossing fetch, absent page, missing execute
+    /// permission, pre-`EINIT` — and the caller falls back to
+    /// [`Enclave::read_into`] for the exact typed error.
+    #[inline(always)]
+    pub fn fetch_prim(&mut self, vaddr: u64) -> Option<[u8; 8]> {
+        let off = vaddr.wrapping_sub(self.base);
+        let within = (off % PAGE_SIZE) as usize;
+        if !self.initialized || within + 8 > PAGE_SIZE as usize {
+            return None;
+        }
+        // As in `load_prim`, the slot lookup doubles as the ELRANGE check.
+        let idx = usize::try_from(off / PAGE_SIZE).ok()?;
+        let page = self.pages.get(idx)?.as_ref()?;
+        if !page.perms.executable() {
+            return None;
+        }
+        let raw: [u8; 8] = page.data[within..within + 8].try_into().expect("8 bytes");
+        if self.stamp_accesses {
+            self.touch_idx(idx);
+        }
+        Some(raw)
+    }
+
     /// Single-access fast path behind guest stores; mirror of
     /// [`Enclave::load_prim`]. Keeps the write-side architectural
     /// obligations: the page generation moves exactly as in
@@ -481,7 +507,7 @@ impl Enclave {
 
     /// Borrowed view of the whole resident page containing `vaddr`, with
     /// one permission check for the entire page. Zero-copy accessor behind
-    /// the interpreter's decode cache; sound because EPC permissions are
+    /// the VM's code cache; sound because EPC permissions are
     /// immutable after `EADD`.
     ///
     /// # Errors
@@ -688,7 +714,8 @@ impl Enclave {
     }
 
     /// Records an execute access to the page containing `vaddr` for LRU
-    /// accounting. Called by the runtime on superblock/decode-cache entry;
+    /// accounting. Called by the runtime when the superblock engine enters
+    /// a page;
     /// a no-op for addresses outside ELRANGE and while no EPC budget is
     /// armed.
     #[inline]
@@ -920,6 +947,65 @@ mod tests {
             e.read_into(0x100000, &mut one, AccessKind::Write),
             Err(SgxError::PermissionDenied { .. })
         ));
+    }
+
+    #[test]
+    fn fetch_prim_agrees_with_read_into_and_stamps_only_while_armed() {
+        let cpu = cpu();
+        let mut e = cpu.ecreate(0x100000, 0x10000).unwrap();
+        let code: [u8; 4096] = std::array::from_fn(|i| (i * 7 + 3) as u8);
+        e.eadd(0x100000, &code, PagePerms::RX, PageType::Reg).unwrap();
+        e.eadd(0x101000, &code, PagePerms::RX, PageType::Reg).unwrap();
+        e.eadd(0x102000, &[5; 4096], PagePerms::RW, PageType::Reg).unwrap();
+        // 0x103000 and up stay absent.
+        let in_page_rx = [0x100000, 0x100008, 0x100123, 0x100FF8, 0x101000];
+        let others = [
+            0x100FFC, // crosses RX → RX
+            0x101FFC, // crosses RX → RW
+            0x102000, // RW only
+            0x103000, // absent
+            0x0FFFF8, // below ELRANGE
+            0x110000, // past ELRANGE
+            u64::MAX - 3,
+        ];
+        let read = |e: &Enclave, addr: u64| {
+            let mut buf = [0u8; 8];
+            e.read_into(addr, &mut buf, AccessKind::Execute).map(|()| buf)
+        };
+        for addr in in_page_rx.into_iter().chain(others) {
+            assert_eq!(e.fetch_prim(addr), None, "pre-EINIT fetch at {addr:#x}");
+            assert!(read(&e, addr).is_err());
+        }
+        let m = e.current_measurement().unwrap();
+        e.einit(&SigStruct::sign(&vendor(), m, 1, 1).unwrap()).unwrap();
+        for addr in in_page_rx {
+            assert_eq!(Ok(e.fetch_prim(addr).expect("fast")), read(&e, addr), "at {addr:#x}");
+        }
+        for addr in others {
+            // Declined: the caller's slow path reads (a page-crossing fetch
+            // of two executable pages) or faults.
+            assert_eq!(e.fetch_prim(addr), None, "at {addr:#x}");
+        }
+        assert!(read(&e, 0x100FFC).is_ok());
+        for addr in &others[1..] {
+            assert!(read(&e, *addr).is_err(), "at {addr:#x}");
+        }
+
+        // Stamps move only while stamping is on.
+        let (a, b) = (0x100000, 0x101000);
+        assert!(!e.stamps_accesses());
+        let before = (e.access_stamp(a), e.access_stamp(b));
+        e.fetch_prim(a + 8).unwrap();
+        assert_eq!((e.access_stamp(a), e.access_stamp(b)), before);
+        e.set_access_stamping(true);
+        e.fetch_prim(a + 8).unwrap();
+        assert!(e.access_stamp(a) > e.access_stamp(b), "an armed fetch stamps its page");
+        e.fetch_prim(b).unwrap();
+        assert!(e.access_stamp(b) > e.access_stamp(a));
+        e.set_access_stamping(false);
+        let before = (e.access_stamp(a), e.access_stamp(b));
+        e.fetch_prim(a).unwrap();
+        assert_eq!((e.access_stamp(a), e.access_stamp(b)), before);
     }
 
     #[test]

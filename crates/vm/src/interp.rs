@@ -1,13 +1,15 @@
-//! The EV64 interpreter.
+//! The EV64 interpreter: the reference the superblock engine is checked
+//! against.
 //!
-//! Executes instructions fetched through a [`Bus`], so every fetch, load and
-//! store is subject to the bus's permission model — which is how enclave
-//! page permissions (and therefore the paper's self-modification constraint)
-//! are enforced.
+//! A plain fetch–decode–execute loop. Every instruction is fetched through
+//! the [`Bus`] and decoded afresh, so every fetch, load and store is subject
+//! to the bus's permission model — which is how enclave page permissions
+//! (and therefore the paper's self-modification constraint) are enforced —
+//! and no cached copy of code can go stale: the interpreter shares no state
+//! with the translator it checks.
 
-use crate::dcache::DecodeCache;
 use crate::isa::{Instr, Opcode, INSTR_SIZE, NUM_REGS, REG_SP};
-use crate::mem::{Bus, VmFault, CODE_PAGE_SIZE};
+use crate::mem::{Bus, VmFault};
 use crate::trans::TransCache;
 
 /// Why execution returned to the host.
@@ -22,11 +24,12 @@ pub enum Exit {
 /// Which execution tier [`Vm::run`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Superblock translation (see [`crate::trans`]) with automatic
-    /// fallback to the interpreter loop where translation does not apply.
+    /// Superblock translation (see [`crate::trans`]), executing through
+    /// the interpreter's per-instruction step where translation does not
+    /// apply.
     #[default]
     Superblock,
-    /// The instruction-at-a-time interpreter loop only.
+    /// The reference interpreter loop only.
     Interp,
 }
 
@@ -44,29 +47,6 @@ pub struct ExecStats {
     /// path under [`Engine::Superblock`]; everything under
     /// [`Engine::Interp`]).
     pub interp_retired: u64,
-}
-
-/// Result of one interpreter-loop invocation (crate-internal: the
-/// translator uses the `Retranslate` arm to reclaim control).
-pub(crate) enum InterpOutcome {
-    /// The run finished: guest exit or fault.
-    Done(Result<Exit, VmFault>),
-    /// Bail-out: the pc is aligned on a validatable page again, so the
-    /// superblock tier can resume with `fuel_left` fuel remaining.
-    Retranslate { fuel_left: u64 },
-}
-
-/// Interpreter-internal stop reason; `From<VmFault>` keeps `?` working on
-/// bus operations inside the loop.
-enum Stop {
-    Fault(VmFault),
-    Bail { fuel_left: u64 },
-}
-
-impl From<VmFault> for Stop {
-    fn from(f: VmFault) -> Self {
-        Stop::Fault(f)
-    }
 }
 
 /// Interpreter state: 16 registers and the program counter.
@@ -93,9 +73,7 @@ pub struct Vm {
     pub pc: u64,
     /// Instructions executed since construction (for benchmarks).
     pub retired: u64,
-    /// Page-granular decode cache serving the fetch fast path.
-    pub dcache: DecodeCache,
-    /// Superblock cache layered over the decode cache.
+    /// The superblock engine's code cache.
     pub trans: TransCache,
     /// Which execution tier [`Vm::run`] drives.
     pub engine: Engine,
@@ -110,7 +88,6 @@ impl Vm {
             regs: [0; NUM_REGS],
             pc: entry,
             retired: 0,
-            dcache: DecodeCache::new(),
             trans: TransCache::default(),
             engine: Engine::default(),
             stats: ExecStats::default(),
@@ -140,253 +117,190 @@ impl Vm {
     pub fn run<B: Bus + ?Sized>(&mut self, bus: &mut B, fuel: u64) -> Result<Exit, VmFault> {
         match self.engine {
             Engine::Superblock => crate::trans::run_superblock(self, bus, fuel),
-            Engine::Interp => match self.run_interp(bus, fuel, false) {
-                InterpOutcome::Done(r) => r,
-                InterpOutcome::Retranslate { .. } => unreachable!("bail disabled"),
-            },
+            Engine::Interp => self.interp(bus, fuel),
         }
     }
 
-    /// Runs the interpreter loop. With `bail` set, returns
-    /// [`InterpOutcome::Retranslate`] as soon as at least one instruction
-    /// has executed and the pc sits aligned on a page the decode cache can
-    /// validate — the point where superblock execution can resume.
-    pub(crate) fn run_interp<B: Bus + ?Sized>(
-        &mut self,
-        bus: &mut B,
-        fuel: u64,
-        bail: bool,
-    ) -> InterpOutcome {
-        match self.interp_loop(bus, fuel, bail) {
-            Ok(exit) => InterpOutcome::Done(Ok(exit)),
-            Err(Stop::Fault(f)) => InterpOutcome::Done(Err(f)),
-            Err(Stop::Bail { fuel_left }) => InterpOutcome::Retranslate { fuel_left },
-        }
-    }
-
-    fn interp_loop<B: Bus + ?Sized>(
+    /// Runs the interpreter loop until an exit, a fault or `fuel`
+    /// instructions.
+    pub(crate) fn interp<B: Bus + ?Sized>(
         &mut self,
         bus: &mut B,
         mut fuel: u64,
-        bail: bool,
-    ) -> Result<Exit, Stop> {
-        // Fast-path state: which decode-cache slot serves the current page.
-        // `revalidate` marks the icache sync points — run entry (the host
-        // or an ocall may have run since the last instruction) and every
-        // instruction that can write memory. Between sync points, while the
-        // PC stays on one page, instructions are served from the cache with
-        // no bus traffic at all; permissions were checked once for the
-        // whole page, which is sound because EPC permissions are fixed at
-        // `EADD`.
-        let mut cur_page = u64::MAX; // not page-aligned → never matches
-        let mut cur_slot = usize::MAX;
-        let mut revalidate = true;
-        let mut executed = 0u64;
+    ) -> Result<Exit, VmFault> {
         loop {
-            if bail && executed != 0 && self.pc & (INSTR_SIZE - 1) == 0 {
-                let page = self.pc & !(CODE_PAGE_SIZE - 1);
-                if self.dcache.validate(bus, page).is_some() {
-                    return Err(Stop::Bail { fuel_left: fuel });
-                }
+            if let Some(exit) = self.step(bus, &mut fuel)? {
+                return Ok(exit);
             }
-            if fuel == 0 {
-                return Err(VmFault::OutOfFuel.into());
-            }
-            fuel -= 1;
-
-            let addr = self.pc;
-            let instr = if addr & (INSTR_SIZE - 1) == 0 {
-                let page = addr & !(CODE_PAGE_SIZE - 1);
-                if page != cur_page {
-                    cur_page = u64::MAX;
-                    cur_slot = usize::MAX;
-                    if let Some(slot) = self.dcache.validate(bus, page) {
-                        cur_page = page;
-                        cur_slot = slot;
-                    }
-                    revalidate = false;
-                } else if revalidate {
-                    // Same page, but memory may have changed: a cheap
-                    // generation probe, and a re-decode only if it moved.
-                    if bus.exec_page_generation(page) != Some(self.dcache.generation(cur_slot)) {
-                        match self.dcache.validate(bus, page) {
-                            Some(slot) => cur_slot = slot,
-                            None => {
-                                cur_page = u64::MAX;
-                                cur_slot = usize::MAX;
-                            }
-                        }
-                    }
-                    revalidate = false;
-                }
-                if cur_slot != usize::MAX {
-                    self.dcache.instr(cur_slot, ((addr & (CODE_PAGE_SIZE - 1)) >> 3) as usize)
-                } else {
-                    let raw = bus.fetch(addr)?;
-                    Instr::decode(&raw).ok_or(VmFault::IllegalInstruction { addr })?
-                }
-            } else {
-                // Misaligned PC: straddles decode-cache slots; always fetch.
-                let raw = bus.fetch(addr)?;
-                Instr::decode(&raw).ok_or(VmFault::IllegalInstruction { addr })?
-            };
-            let mut next = addr.wrapping_add(INSTR_SIZE);
-            self.retired += 1;
-            self.stats.interp_retired += 1;
-            executed += 1;
-
-            let r = &mut self.regs;
-            let imm_s = instr.imm as i64 as u64; // sign-extended immediate
-            use Opcode::*;
-            match instr.op {
-                Illegal => return Err(VmFault::IllegalInstruction { addr }.into()),
-                Halt => {
-                    self.pc = next;
-                    return Ok(Exit::Halt(r[0]));
-                }
-                Mov => r[instr.a as usize] = r[instr.b as usize],
-                Movi => r[instr.a as usize] = imm_s,
-                Movhi => {
-                    r[instr.a as usize] =
-                        (r[instr.a as usize] & 0xFFFF_FFFF) | ((instr.imm as u32 as u64) << 32)
-                }
-                Add => binop(r, instr, u64::wrapping_add),
-                Sub => binop(r, instr, u64::wrapping_sub),
-                Mul => binop(r, instr, u64::wrapping_mul),
-                Divu => {
-                    let d = r[instr.c as usize];
-                    if d == 0 {
-                        return Err(VmFault::DivideByZero { addr }.into());
-                    }
-                    r[instr.a as usize] = r[instr.b as usize] / d;
-                }
-                Remu => {
-                    let d = r[instr.c as usize];
-                    if d == 0 {
-                        return Err(VmFault::DivideByZero { addr }.into());
-                    }
-                    r[instr.a as usize] = r[instr.b as usize] % d;
-                }
-                And => binop(r, instr, |x, y| x & y),
-                Or => binop(r, instr, |x, y| x | y),
-                Xor => binop(r, instr, |x, y| x ^ y),
-                Shl => binop(r, instr, |x, y| x << (y & 63)),
-                Shru => binop(r, instr, |x, y| x >> (y & 63)),
-                Shrs => binop(r, instr, |x, y| ((x as i64) >> (y & 63)) as u64),
-                Rotl32 => binop(r, instr, |x, y| (x as u32).rotate_left(y as u32 & 31) as u64),
-                Rotr32 => binop(r, instr, |x, y| (x as u32).rotate_right(y as u32 & 31) as u64),
-                Add32 => binop(r, instr, |x, y| (x as u32).wrapping_add(y as u32) as u64),
-                Sub32 => binop(r, instr, |x, y| (x as u32).wrapping_sub(y as u32) as u64),
-                Mul32 => binop(r, instr, |x, y| (x as u32).wrapping_mul(y as u32) as u64),
-                Addi => r[instr.a as usize] = r[instr.b as usize].wrapping_add(imm_s),
-                Andi => r[instr.a as usize] = r[instr.b as usize] & imm_s,
-                Ori => r[instr.a as usize] = r[instr.b as usize] | imm_s,
-                Xori => r[instr.a as usize] = r[instr.b as usize] ^ imm_s,
-                Shli => r[instr.a as usize] = r[instr.b as usize] << (instr.imm & 63),
-                Shrui => r[instr.a as usize] = r[instr.b as usize] >> (instr.imm & 63),
-                Shrsi => {
-                    r[instr.a as usize] = ((r[instr.b as usize] as i64) >> (instr.imm & 63)) as u64
-                }
-                Rotl32i => {
-                    r[instr.a as usize] =
-                        (r[instr.b as usize] as u32).rotate_left(instr.imm as u32 & 31) as u64
-                }
-                Rotr32i => {
-                    r[instr.a as usize] =
-                        (r[instr.b as usize] as u32).rotate_right(instr.imm as u32 & 31) as u64
-                }
-                Add32i => {
-                    r[instr.a as usize] =
-                        (r[instr.b as usize] as u32).wrapping_add(instr.imm as u32) as u64
-                }
-                Ld8u | Ld16u | Ld32u | Ld64 => {
-                    let size = match instr.op {
-                        Ld8u => 1,
-                        Ld16u => 2,
-                        Ld32u => 4,
-                        _ => 8,
-                    };
-                    let ea = r[instr.b as usize].wrapping_add(imm_s);
-                    r[instr.a as usize] = bus.load(ea, size)?;
-                }
-                St8 | St16 | St32 | St64 => {
-                    let size = match instr.op {
-                        St8 => 1,
-                        St16 => 2,
-                        St32 => 4,
-                        _ => 8,
-                    };
-                    let ea = r[instr.b as usize].wrapping_add(imm_s);
-                    bus.store(ea, size, r[instr.a as usize])?;
-                    revalidate = true;
-                }
-                Jmp => next = next.wrapping_add(imm_s),
-                Beq | Bne | Bltu | Bgeu | Blts | Bges => {
-                    let x = r[instr.a as usize];
-                    let y = r[instr.b as usize];
-                    let taken = match instr.op {
-                        Beq => x == y,
-                        Bne => x != y,
-                        Bltu => x < y,
-                        Bgeu => x >= y,
-                        Blts => (x as i64) < (y as i64),
-                        _ => (x as i64) >= (y as i64),
-                    };
-                    if taken {
-                        next = next.wrapping_add(imm_s);
-                    }
-                }
-                Call => {
-                    let sp = r[REG_SP as usize].wrapping_sub(8);
-                    bus.store(sp, 8, next)?;
-                    self.regs[REG_SP as usize] = sp;
-                    next = next.wrapping_add(imm_s);
-                    revalidate = true;
-                }
-                Callr => {
-                    let target = r[instr.b as usize];
-                    let sp = r[REG_SP as usize].wrapping_sub(8);
-                    bus.store(sp, 8, next)?;
-                    self.regs[REG_SP as usize] = sp;
-                    next = target;
-                    revalidate = true;
-                }
-                Ret => {
-                    let sp = r[REG_SP as usize];
-                    next = bus.load(sp, 8)?;
-                    self.regs[REG_SP as usize] = sp.wrapping_add(8);
-                }
-                Ldpc => r[instr.a as usize] = next,
-                Jmpr => next = r[instr.b as usize],
-                Ocall => {
-                    self.pc = next;
-                    return Ok(Exit::Ocall(instr.imm));
-                }
-                Intrin => {
-                    self.pc = next;
-                    let extra = bus.intrinsic(instr.imm, &mut self.regs)?;
-                    // Intrinsics write guest memory directly: the decode
-                    // cache must re-check its generation.
-                    revalidate = true;
-                    if extra > 0 {
-                        // Bulk intrinsics charge fuel proportional to the
-                        // bytes they moved. The charge lands after the work
-                        // (the byte count is only known then), so an
-                        // exhausted budget faults with the effects already
-                        // committed and the pc past the `intrin` — the
-                        // translator mirrors this exactly.
-                        self.retired += extra;
-                        self.stats.interp_retired += extra;
-                        if fuel < extra {
-                            return Err(VmFault::OutOfFuel.into());
-                        }
-                        fuel -= extra;
-                    }
-                    continue;
-                }
-            }
-            self.pc = next;
         }
+    }
+
+    /// Fetches, decodes and executes the instruction at the pc, charging
+    /// `fuel` (one per instruction plus a bulk intrinsic's extra charge).
+    /// Returns the exit when the instruction was `halt` or `ocall`.
+    #[inline(always)]
+    pub(crate) fn step<B: Bus + ?Sized>(
+        &mut self,
+        bus: &mut B,
+        fuel: &mut u64,
+    ) -> Result<Option<Exit>, VmFault> {
+        if *fuel == 0 {
+            return Err(VmFault::OutOfFuel);
+        }
+        *fuel -= 1;
+        let addr = self.pc;
+        let raw = bus.fetch(addr)?;
+        let instr = Instr::decode(&raw).unwrap_or(Instr::ILLEGAL);
+        let mut next = addr.wrapping_add(INSTR_SIZE);
+        self.retired += 1;
+        self.stats.interp_retired += 1;
+
+        let r = &mut self.regs;
+        let imm_s = instr.imm as i64 as u64; // sign-extended immediate
+        use Opcode::*;
+        match instr.op {
+            Illegal => return Err(VmFault::IllegalInstruction { addr }),
+            Halt => {
+                self.pc = next;
+                return Ok(Some(Exit::Halt(r[0])));
+            }
+            Mov => r[instr.a as usize] = r[instr.b as usize],
+            Movi => r[instr.a as usize] = imm_s,
+            Movhi => {
+                r[instr.a as usize] =
+                    (r[instr.a as usize] & 0xFFFF_FFFF) | ((instr.imm as u32 as u64) << 32)
+            }
+            Add => binop(r, instr, u64::wrapping_add),
+            Sub => binop(r, instr, u64::wrapping_sub),
+            Mul => binop(r, instr, u64::wrapping_mul),
+            Divu => {
+                let d = r[instr.c as usize];
+                if d == 0 {
+                    return Err(VmFault::DivideByZero { addr });
+                }
+                r[instr.a as usize] = r[instr.b as usize] / d;
+            }
+            Remu => {
+                let d = r[instr.c as usize];
+                if d == 0 {
+                    return Err(VmFault::DivideByZero { addr });
+                }
+                r[instr.a as usize] = r[instr.b as usize] % d;
+            }
+            And => binop(r, instr, |x, y| x & y),
+            Or => binop(r, instr, |x, y| x | y),
+            Xor => binop(r, instr, |x, y| x ^ y),
+            Shl => binop(r, instr, |x, y| x << (y & 63)),
+            Shru => binop(r, instr, |x, y| x >> (y & 63)),
+            Shrs => binop(r, instr, |x, y| ((x as i64) >> (y & 63)) as u64),
+            Rotl32 => binop(r, instr, |x, y| (x as u32).rotate_left(y as u32 & 31) as u64),
+            Rotr32 => binop(r, instr, |x, y| (x as u32).rotate_right(y as u32 & 31) as u64),
+            Add32 => binop(r, instr, |x, y| (x as u32).wrapping_add(y as u32) as u64),
+            Sub32 => binop(r, instr, |x, y| (x as u32).wrapping_sub(y as u32) as u64),
+            Mul32 => binop(r, instr, |x, y| (x as u32).wrapping_mul(y as u32) as u64),
+            Addi => r[instr.a as usize] = r[instr.b as usize].wrapping_add(imm_s),
+            Andi => r[instr.a as usize] = r[instr.b as usize] & imm_s,
+            Ori => r[instr.a as usize] = r[instr.b as usize] | imm_s,
+            Xori => r[instr.a as usize] = r[instr.b as usize] ^ imm_s,
+            Shli => r[instr.a as usize] = r[instr.b as usize] << (instr.imm & 63),
+            Shrui => r[instr.a as usize] = r[instr.b as usize] >> (instr.imm & 63),
+            Shrsi => {
+                r[instr.a as usize] = ((r[instr.b as usize] as i64) >> (instr.imm & 63)) as u64
+            }
+            Rotl32i => {
+                r[instr.a as usize] =
+                    (r[instr.b as usize] as u32).rotate_left(instr.imm as u32 & 31) as u64
+            }
+            Rotr32i => {
+                r[instr.a as usize] =
+                    (r[instr.b as usize] as u32).rotate_right(instr.imm as u32 & 31) as u64
+            }
+            Add32i => {
+                r[instr.a as usize] =
+                    (r[instr.b as usize] as u32).wrapping_add(instr.imm as u32) as u64
+            }
+            Ld8u | Ld16u | Ld32u | Ld64 => {
+                let size = match instr.op {
+                    Ld8u => 1,
+                    Ld16u => 2,
+                    Ld32u => 4,
+                    _ => 8,
+                };
+                let ea = r[instr.b as usize].wrapping_add(imm_s);
+                r[instr.a as usize] = bus.load(ea, size)?;
+            }
+            St8 | St16 | St32 | St64 => {
+                let size = match instr.op {
+                    St8 => 1,
+                    St16 => 2,
+                    St32 => 4,
+                    _ => 8,
+                };
+                let ea = r[instr.b as usize].wrapping_add(imm_s);
+                bus.store(ea, size, r[instr.a as usize])?;
+            }
+            Jmp => next = next.wrapping_add(imm_s),
+            Beq | Bne | Bltu | Bgeu | Blts | Bges => {
+                let x = r[instr.a as usize];
+                let y = r[instr.b as usize];
+                let taken = match instr.op {
+                    Beq => x == y,
+                    Bne => x != y,
+                    Bltu => x < y,
+                    Bgeu => x >= y,
+                    Blts => (x as i64) < (y as i64),
+                    _ => (x as i64) >= (y as i64),
+                };
+                if taken {
+                    next = next.wrapping_add(imm_s);
+                }
+            }
+            Call => {
+                let sp = r[REG_SP as usize].wrapping_sub(8);
+                bus.store(sp, 8, next)?;
+                self.regs[REG_SP as usize] = sp;
+                next = next.wrapping_add(imm_s);
+            }
+            Callr => {
+                let target = r[instr.b as usize];
+                let sp = r[REG_SP as usize].wrapping_sub(8);
+                bus.store(sp, 8, next)?;
+                self.regs[REG_SP as usize] = sp;
+                next = target;
+            }
+            Ret => {
+                let sp = r[REG_SP as usize];
+                next = bus.load(sp, 8)?;
+                self.regs[REG_SP as usize] = sp.wrapping_add(8);
+            }
+            Ldpc => r[instr.a as usize] = next,
+            Jmpr => next = r[instr.b as usize],
+            Ocall => {
+                self.pc = next;
+                return Ok(Some(Exit::Ocall(instr.imm)));
+            }
+            Intrin => {
+                self.pc = next;
+                let extra = bus.intrinsic(instr.imm, &mut self.regs)?;
+                if extra > 0 {
+                    // Bulk intrinsics charge fuel proportional to the
+                    // bytes they moved. The charge lands after the work
+                    // (the byte count is only known then), so an
+                    // exhausted budget faults with the effects already
+                    // committed and the pc past the `intrin` — the
+                    // translator mirrors this exactly.
+                    self.retired += extra;
+                    self.stats.interp_retired += extra;
+                    if *fuel < extra {
+                        return Err(VmFault::OutOfFuel);
+                    }
+                    *fuel -= extra;
+                }
+                return Ok(None);
+            }
+        }
+        self.pc = next;
+        Ok(None)
     }
 }
 

@@ -278,6 +278,11 @@ pub struct Instr {
 }
 
 impl Instr {
+    /// What bytes that do not decode execute as: an [`Opcode::Illegal`]
+    /// instruction, which retires and faults where it stands, exactly like
+    /// the all-zero bytes of a sanitized function.
+    pub const ILLEGAL: Instr = Instr { op: Opcode::Illegal, a: 0, b: 0, c: 0, imm: 0 };
+
     /// Creates an instruction, validating register fields.
     ///
     /// # Panics

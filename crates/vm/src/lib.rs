@@ -9,11 +9,12 @@
 //! * [`elc`] — a small imperative language compiling to EV64 assembly.
 //! * [`obj`] — the object format (sections, symbols, relocations).
 //! * [`link`] — a two-pass linker emitting enclave ELF images.
-//! * [`interp`] — the interpreter; every access goes through a [`mem::Bus`],
-//!   which is how EPC page permissions are enforced.
-//! * [`dcache`] — the page-granular decode cache (the interpreter's
-//!   "icache"), invalidated by generation when code pages change.
-//! * [`trans`] — superblock translation over the decode cache: fused
+//! * [`interp`] — the reference interpreter: a plain fetch–decode–execute
+//!   loop in which every access goes through a [`mem::Bus`], which is how
+//!   EPC page permissions are enforced.
+//! * [`trans`] — superblock translation, the default engine and the one
+//!   code cache: per-page decoded instructions and the blocks lowered from
+//!   them, invalidated by generation when code pages change; fused
 //!   macro-ops and per-block fuel so hot paths skip per-instruction
 //!   dispatch entirely.
 //! * [`disasm`] — the attacker's disassembler.
@@ -35,7 +36,6 @@
 
 #![forbid(unsafe_code)]
 pub mod asm;
-pub mod dcache;
 pub mod disasm;
 pub mod elc;
 pub mod interp;

@@ -1,5 +1,5 @@
-//! The memory bus abstraction the interpreter executes against, and the
-//! fault model.
+//! The memory bus abstraction both engines execute against, and the fault
+//! model.
 //!
 //! The enclave runtime implements [`Bus`] over EPC pages with SGX permission
 //! semantics (reads/writes/fetches are checked against the page permissions
@@ -7,8 +7,9 @@
 
 use std::fmt;
 
-/// Size of a code page as seen by the interpreter's decode cache. Matches
-/// the EPC page size so one execute-permission check covers one EPC page.
+/// Size of a code page as the superblock engine's code cache holds it: the
+/// unit of one fetch, one decode and one generation. Matches the EPC page
+/// size so one execute-permission check covers one EPC page.
 pub const CODE_PAGE_SIZE: u64 = 4096;
 
 /// The kind of memory access that faulted.
@@ -104,7 +105,7 @@ impl fmt::Display for VmFault {
 
 impl std::error::Error for VmFault {}
 
-/// Memory bus used by the interpreter. All accesses may fault.
+/// Memory bus both execution engines run against. All accesses may fault.
 pub trait Bus {
     /// Loads `size` bytes (1, 2, 4 or 8) little-endian, zero-extended.
     ///
@@ -120,7 +121,8 @@ pub trait Bus {
     /// Faults on unmapped addresses or insufficient permissions.
     fn store(&mut self, addr: u64, size: usize, value: u64) -> Result<(), VmFault>;
 
-    /// Fetches 8 instruction bytes (requires execute permission).
+    /// Fetches 8 instruction bytes (requires execute permission): the
+    /// interpreter's one source of instructions, called for every one.
     ///
     /// # Errors
     ///
@@ -149,15 +151,18 @@ pub trait Bus {
 
     /// Generation stamp of the executable code page containing `page_addr`
     /// (which is [`CODE_PAGE_SIZE`]-aligned), or `None` if the bus does not
-    /// support page-granular execution for this page and the interpreter
-    /// must fetch instruction by instruction.
+    /// support page-granular execution for this page: the superblock engine
+    /// then has the interpreter fetch instruction by instruction, and takes
+    /// over again on the first aligned pc of a page that probes `Some`.
     ///
     /// A `Some(g)` result is a promise: as long as later calls keep
     /// returning `g`, neither the bytes nor the execute permission of the
-    /// page have changed, so pre-decoded instructions may be served without
-    /// touching the bus. Any write reaching the page, and any mapping
-    /// change (page eviction/restore), must move the generation — this is
-    /// the simulator's icache-coherence contract.
+    /// page have changed, so the code cache may serve the page's decoded
+    /// instructions and the blocks lowered from them without touching the
+    /// bus. Any write reaching the page, and any mapping change (page
+    /// eviction/restore), must move the generation — this is the
+    /// simulator's icache-coherence contract. The interpreter never calls
+    /// this: it fetches every instruction.
     fn exec_page_generation(&mut self, page_addr: u64) -> Option<u64> {
         let _ = page_addr;
         None
@@ -180,7 +185,8 @@ pub trait Bus {
     /// Copies the whole aligned code page at `page_addr` into `buf`,
     /// checking execute permission once for the entire page, and returns
     /// its generation stamp. Only called for pages where
-    /// [`Bus::exec_page_generation`] returned `Some`.
+    /// [`Bus::exec_page_generation`] returned `Some`, by the code cache,
+    /// once per page generation: the page is decoded from this copy.
     ///
     /// # Errors
     ///

@@ -22,21 +22,28 @@
 //!   executable page changed. A store that hits a page the executing block
 //!   lowered is caught *at the store* (the [`BlockExit::Patched`] exit).
 //!
+//! This is the one code cache. A `TransSlot` per page holds the page's
+//! instructions, fetched once ([`Bus::fetch_exec_page`]) and decoded at the
+//! generation [`Bus::exec_page_generation`] reports, and the blocks that
+//! start there. A moved generation re-decodes the page and drops its
+//! blocks, so the sanitize → fault → `elide_restore` → re-execute life
+//! cycle needs no extra coherence machinery.
+//!
 //! Anything the translator cannot prove equivalent — misaligned PCs,
 //! uncacheable buses, page-trace mode, fuel slivers smaller than one block
-//! — falls back to the instruction-at-a-time interpreter loop, which bails
-//! back to the translator as soon as execution returns to a translatable
-//! page. Translation reads the decode cache's pages and invalidates by the
-//! bus's per-page generations, so the sanitize → fault → `elide_restore` →
-//! re-execute life cycle needs no extra coherence machinery.
+//! — executes instruction by instruction through the interpreter's
+//! `Vm::step`, and the translator takes control back as soon as the pc
+//! sits aligned on a page the bus offers for page-granular execution.
 
-use crate::dcache::{DecodeCache, INSTRS_PER_PAGE};
-use crate::interp::{Exit, InterpOutcome, Vm};
+use crate::interp::{Exit, Vm};
 use crate::isa::{Instr, Opcode, INSTR_SIZE, NUM_REGS, REG_SP};
 use crate::mem::{Bus, VmFault, CODE_PAGE_SIZE};
 use std::collections::HashMap;
 
 const PAGE_MASK: u64 = CODE_PAGE_SIZE - 1;
+
+/// Instruction slots per code page.
+const INSTRS_PER_PAGE: usize = (CODE_PAGE_SIZE / INSTR_SIZE) as usize;
 
 /// Lowered micro-op kinds. `T*` kinds are terminators: every block ends
 /// with exactly one, and nothing before a terminator transfers control.
@@ -186,11 +193,15 @@ struct Block {
 /// under any epoch, so entering it probes.
 const UNCHECKED: u64 = u64::MAX;
 
-/// The blocks that start on one page.
+/// One page of guest code: its instructions, decoded at one generation,
+/// and the blocks that start on it.
 #[derive(Debug, Clone)]
 struct TransSlot {
     page_addr: u64,
+    /// The page generation `instrs` was decoded at, and at which every
+    /// block lowered this page.
     gen: u64,
+    instrs: Box<[Instr; INSTRS_PER_PAGE]>,
     /// The other pages this slot's blocks lowered from, each with the
     /// generation every block lowered it at.
     deps: Vec<(u64, u64)>,
@@ -203,28 +214,40 @@ struct TransSlot {
 }
 
 impl TransSlot {
-    fn new(page_addr: u64, gen: u64) -> Self {
-        TransSlot {
+    fn new(page_addr: u64, bytes: &[u8; CODE_PAGE_SIZE as usize], gen: u64) -> Self {
+        let mut slot = TransSlot {
             page_addr,
             gen,
+            instrs: Box::new([Instr::ILLEGAL; INSTRS_PER_PAGE]),
             deps: Vec::new(),
             checked: UNCHECKED,
             block_at: Box::new([0; INSTRS_PER_PAGE]),
             blocks: Vec::new(),
-        }
+        };
+        slot.decode(bytes, gen);
+        slot
     }
 
-    /// Drops every block, keeping the page identity at generation `gen`.
-    fn clear(&mut self, gen: u64) {
+    /// Decodes the page's `bytes` at generation `gen`, dropping every
+    /// block: the icache flush a moved page needs.
+    fn decode(&mut self, bytes: &[u8; CODE_PAGE_SIZE as usize], gen: u64) {
         self.gen = gen;
+        for (ins, raw) in self.instrs.iter_mut().zip(bytes.chunks_exact(INSTR_SIZE as usize)) {
+            *ins = Instr::decode(raw.try_into().expect("8-byte chunk")).unwrap_or(Instr::ILLEGAL);
+        }
+        self.clear();
+    }
+
+    /// Drops every block, keeping the decoded page.
+    fn clear(&mut self) {
         self.deps.clear();
         self.block_at.fill(0);
         self.blocks.clear();
     }
 }
 
-/// The superblock cache, one slot per page that blocks start on; owned by
-/// a [`Vm`].
+/// The code cache, one slot per page that blocks start on or lower from;
+/// owned by a [`Vm`].
 #[derive(Debug, Clone)]
 pub struct TransCache {
     slots: Vec<TransSlot>,
@@ -248,14 +271,14 @@ impl Default for TransCache {
 }
 
 impl TransCache {
-    /// Drops every translation.
+    /// Drops every decoded page and translation.
     pub fn invalidate_all(&mut self) {
         self.slots.clear();
         self.index.clear();
         self.recent = [(NO_PAGE, 0); RECENT_PAGES];
     }
 
-    /// The slot of `page`, if blocks start there.
+    /// The slot of `page`, if it has one.
     #[inline]
     fn lookup(&mut self, page: u64) -> Option<usize> {
         let r = &mut self.recent[(page / CODE_PAGE_SIZE) as usize % RECENT_PAGES];
@@ -265,35 +288,52 @@ impl TransCache {
         Some(r.1)
     }
 
-    /// Makes the slot of `page` current for generation `gen`, which the
-    /// caller just probed, and returns it. Without a code epoch that is
-    /// all: blocks that lowered other pages probe them on entry. Under a
-    /// code epoch the slot's other pages are confirmed here once per epoch
-    /// — the check that lets chained transitions skip every probe.
-    fn enter<B: Bus + ?Sized>(&mut self, bus: &mut B, page: u64, gen: u64) -> usize {
-        let slot = match self.lookup(page) {
-            Some(slot) => slot,
+    /// The slot of `page`, decoded at the generation the bus reports now.
+    /// A page seen for the first time, or at another generation, is
+    /// fetched and decoded here: once per generation, never once per
+    /// block. `None` when the page does not probe or its bytes cannot be
+    /// fetched (the interpreter then executes it, and reports the exact
+    /// fault).
+    fn slot<B: Bus + ?Sized>(&mut self, bus: &mut B, page: u64) -> Option<usize> {
+        let gen = bus.exec_page_generation(page)?;
+        let found = self.lookup(page);
+        if let Some(slot) = found.filter(|&slot| self.slots[slot].gen == gen) {
+            return Some(slot);
+        }
+        let mut bytes = [0; CODE_PAGE_SIZE as usize];
+        let gen = bus.fetch_exec_page(page, &mut bytes).ok()?;
+        Some(match found {
+            Some(slot) => {
+                self.slots[slot].decode(&bytes, gen);
+                slot
+            }
             None => {
-                self.slots.push(TransSlot::new(page, gen));
+                self.slots.push(TransSlot::new(page, &bytes, gen));
                 self.index.insert(page, self.slots.len() - 1);
                 self.slots.len() - 1
             }
-        };
+        })
+    }
+
+    /// Makes the slot of `page` current and returns it. Without a code
+    /// epoch that is all: blocks that lowered other pages probe them on
+    /// entry. Under a code epoch the slot's other pages are confirmed here
+    /// once per epoch — the check that lets chained transitions skip every
+    /// probe.
+    fn enter<B: Bus + ?Sized>(&mut self, bus: &mut B, page: u64) -> Option<usize> {
+        let slot = self.slot(bus, page)?;
         let s = &mut self.slots[slot];
-        if s.gen != gen {
-            s.clear(gen);
-        }
         match bus.code_epoch() {
             Some(epoch) if s.checked != epoch => {
                 if s.deps.iter().any(|&(p, g)| bus.exec_page_generation(p) != Some(g)) {
-                    s.clear(gen);
+                    s.clear();
                 }
                 s.checked = epoch;
             }
             Some(_) => {}
             None => s.checked = UNCHECKED,
         }
-        slot
+        Some(slot)
     }
 
     /// Whether every page block `id` lowered beyond its first still has
@@ -310,27 +350,21 @@ impl TransCache {
     /// Translates the block starting at instruction `idx` of `slot`'s
     /// page. Returns `None` when the page's bytes cannot be fetched (the
     /// interpreter then reports the exact fault).
-    fn translate<B: Bus + ?Sized>(
-        &mut self,
-        dcache: &mut DecodeCache,
-        bus: &mut B,
-        slot: usize,
-        idx: usize,
-    ) -> Option<u32> {
+    fn translate<B: Bus + ?Sized>(&mut self, bus: &mut B, slot: usize, idx: usize) -> Option<u32> {
         let page = self.slots[slot].page_addr;
-        let mut view = View { bus, dcache, pages: [(NO_PAGE, 0, 0); MAX_TRACE_PAGES], n: 0 };
+        let mut view = View { bus, cache: self, pages: [(NO_PAGE, 0); MAX_TRACE_PAGES], n: 0 };
         view.page_index(page)?;
         let block = translate_block(&mut view, page + idx as u64 * INSTR_SIZE);
+        let (pages, n) = (view.pages, view.n);
+        let seen: Vec<(u64, u64)> =
+            pages[1..n].iter().map(|&(p, other)| (p, self.slots[other].gen)).collect();
         let s = &mut self.slots[slot];
         // Blocks of one slot share one generation per page: a page that
         // moved since the slot's older blocks lowered it makes them stale.
-        let seen = &view.pages[..view.n];
-        let stale = seen[0].1 != s.gen
-            || seen[1..].iter().any(|&(p, g, _)| s.deps.iter().any(|&(q, h)| q == p && h != g));
-        if stale {
-            s.clear(seen[0].1);
+        if seen.iter().any(|&(p, g)| s.deps.iter().any(|&(q, h)| q == p && h != g)) {
+            s.clear();
         }
-        for &(p, g, _) in &seen[1..] {
+        for &(p, g) in &seen {
             if !s.deps.iter().any(|&(q, _)| q == p) {
                 s.deps.push((p, g));
             }
@@ -343,30 +377,28 @@ impl TransCache {
 }
 
 /// The translator's window onto guest code: up to [`MAX_TRACE_PAGES`]
-/// pages of the decode cache, each added the first time the trace reaches
-/// it.
+/// decoded pages of the code cache, each added the first time the trace
+/// reaches it.
 struct View<'a, B: ?Sized> {
     bus: &'a mut B,
-    dcache: &'a mut DecodeCache,
-    /// `(page, generation, dcache slot)` in the order the trace reached
-    /// them.
-    pages: [(u64, u64, usize); MAX_TRACE_PAGES],
+    cache: &'a mut TransCache,
+    /// `(page, slot)` in the order the trace reached them.
+    pages: [(u64, usize); MAX_TRACE_PAGES],
     n: usize,
 }
 
 impl<B: Bus + ?Sized> View<'_, B> {
     /// The index of `page` in the view, adding it when it is decodable and
-    /// the view has room. A page whose dcache slot was recycled by a later
-    /// addition (possible only at cache capacity) reads as absent.
+    /// the view has room.
     fn page_index(&mut self, page: u64) -> Option<usize> {
         if let Some(i) = self.pages[..self.n].iter().position(|p| p.0 == page) {
-            return (self.dcache.slot_page(self.pages[i].2) == page).then_some(i);
+            return Some(i);
         }
         if self.n == MAX_TRACE_PAGES {
             return None;
         }
-        let slot = self.dcache.validate(self.bus, page)?;
-        self.pages[self.n] = (page, self.dcache.generation(slot), slot);
+        let slot = self.cache.slot(self.bus, page)?;
+        self.pages[self.n] = (page, slot);
         self.n += 1;
         Some(self.n - 1)
     }
@@ -396,7 +428,7 @@ impl<B: Bus + ?Sized> View<'_, B> {
                     None => break,
                 }
             }
-            *slot = Some(self.dcache.instr(self.pages[i].2, idx));
+            *slot = Some(self.cache.slots[self.pages[i].1].instrs[idx]);
         }
         Some((w, ((at << IDX_BITS) | first) as u16))
     }
@@ -1010,8 +1042,8 @@ fn translate_block<B: Bus + ?Sized>(view: &mut View<'_, B>, start: u64) -> Block
         let here = if budget == 0 { None } else { view.window(pc) };
         let Some((w, off)) = here else {
             // Trace cap, or a page the view cannot add: continue at `pc`.
-            let illegal = Instr::new(Opcode::Illegal, 0, 0, 0, 0);
-            ops.push(LOp { kind: LKind::TFall, retire: 0, imm: pc, ..lower_one(illegal, pc, 0) });
+            let fall = lower_one(Instr::ILLEGAL, pc, 0);
+            ops.push(LOp { kind: LKind::TFall, retire: 0, imm: pc, ..fall });
             break;
         };
         let i0 = w[0].expect("window starts at pc");
@@ -1406,9 +1438,29 @@ fn exec_block<B: Bus + ?Sized>(
     unreachable!("every superblock ends with a terminator")
 }
 
+/// Executes instructions one at a time through the interpreter's
+/// [`Vm::step`] until the pc, after at least one, sits aligned on a page
+/// the bus offers for page-granular execution — where translation takes
+/// over again — or the run ends with `Some` exit.
+fn step_until_translatable<B: Bus + ?Sized>(
+    vm: &mut Vm,
+    bus: &mut B,
+    fuel: &mut u64,
+) -> Result<Option<Exit>, VmFault> {
+    loop {
+        if let Some(exit) = vm.step(bus, fuel)? {
+            return Ok(Some(exit));
+        }
+        let pc = vm.pc;
+        if pc & (INSTR_SIZE - 1) == 0 && bus.exec_page_generation(pc & !PAGE_MASK).is_some() {
+            return Ok(None);
+        }
+    }
+}
+
 /// Runs the VM under superblock translation until an exit or fault,
-/// falling back to the interpreter loop wherever translation does not
-/// apply. Drives [`Vm::pc`]/[`Vm::retired`]/[`ExecStats`] exactly like the
+/// falling back to the interpreter wherever translation does not apply.
+/// Drives [`Vm::pc`]/[`Vm::retired`]/[`ExecStats`] exactly like the
 /// interpreter would.
 ///
 /// [`ExecStats`]: crate::interp::ExecStats
@@ -1422,25 +1474,21 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
     let mut untranslatable = false;
     loop {
         let pc = vm.pc;
-        // Misaligned or untranslatable pc: let the interpreter execute; it
-        // bails back here once it lands aligned on a translatable page.
-        let gen = if pc & (INSTR_SIZE - 1) == 0 && !untranslatable {
-            bus.exec_page_generation(pc & !PAGE_MASK)
+        let mut page = pc & !PAGE_MASK;
+        // Misaligned or untranslatable pc: the interpreter executes until
+        // the pc lands aligned on a translatable page.
+        let entered = if pc & (INSTR_SIZE - 1) == 0 && !untranslatable {
+            vm.trans.enter(bus, page)
         } else {
             None
         };
-        let Some(gen) = gen else {
+        let Some(mut slot) = entered else {
             untranslatable = false;
-            match vm.run_interp(bus, fuel, true) {
-                InterpOutcome::Done(r) => return r,
-                InterpOutcome::Retranslate { fuel_left } => {
-                    fuel = fuel_left;
-                    continue;
-                }
+            match step_until_translatable(vm, bus, &mut fuel)? {
+                Some(exit) => return Ok(exit),
+                None => continue,
             }
         };
-        let mut page = pc & !PAGE_MASK;
-        let mut slot = vm.trans.enter(bus, page, gen);
         let mut checked = vm.trans.slots[slot].checked;
         let mut idx = ((pc & PAGE_MASK) >> 3) as usize;
         // The chain: block exits go straight to the next block while the
@@ -1456,7 +1504,7 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
             let (block_id, fresh) = match vm.trans.slots[slot].block_at[idx] {
                 0 => {
                     vm.stats.blocks_translated += 1;
-                    match vm.trans.translate(&mut vm.dcache, bus, slot, idx) {
+                    match vm.trans.translate(bus, slot, idx) {
                         Some(id) => (id, true),
                         None => {
                             untranslatable = true;
@@ -1474,8 +1522,7 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
                 && checked == UNCHECKED
                 && !vm.trans.deps_current(slot, block_id, bus)
             {
-                let s = &mut vm.trans.slots[slot];
-                s.clear(s.gen);
+                vm.trans.slots[slot].clear();
                 continue;
             }
             let cost = block.cost;
@@ -1483,10 +1530,7 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
                 // Less fuel than one block: the interpreter finishes the
                 // run with exact per-instruction OutOfFuel semantics.
                 vm.pc = page + idx as u64 * INSTR_SIZE;
-                match vm.run_interp(bus, fuel, false) {
-                    InterpOutcome::Done(r) => return r,
-                    InterpOutcome::Retranslate { .. } => unreachable!("bail disabled"),
-                }
+                return vm.interp(bus, fuel);
             }
             fuel -= cost;
             vm.stats.blocks_entered += 1;

@@ -80,7 +80,7 @@ fn gen_program(rng: &mut Rng, n: usize, cfg: &GenCfg) -> Vec<Instr> {
             prog.push(Instr::new(Illegal, 0, 0, 0, 0));
         } else if roll < cfg.self_mod + cfg.illegal + cfg.intrin {
             // Bulk intrinsic. Pinned-valid args exercise the happy path
-            // (chunked copies, fuel charging, decode-cache revalidation); raw
+            // (chunked copies, fuel charging, code-cache revalidation); raw
             // register garbage exercises the typed-fault path. Either way
             // both engines must land on the identical outcome.
             if rng.below(2) == 0 && prog.len() + 4 <= n {

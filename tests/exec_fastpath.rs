@@ -47,7 +47,7 @@ fn self_patch_within_one_ecall_executes_new_code() {
     let app = jit_patch_app();
     let mut p = launch_protected(&app, DataPlacement::Remote, 0xFA57).unwrap();
     p.restore().unwrap();
-    // Unpatched behaviour first, to warm the decode cache on victim's page.
+    // Unpatched behaviour first, to warm the code cache on victim's page.
     assert_eq!(p.app.runtime.ecall(p.indices["victim"], &[], 0).unwrap().status, 7);
     // Patch + call in one ecall: stale decode would still return 7.
     assert_eq!(p.app.runtime.ecall(p.indices["patcher"], &[], 0).unwrap().status, 77);
