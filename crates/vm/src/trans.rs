@@ -4,18 +4,25 @@
 //! a fuel check, a retired-counter bump and a pc update per instruction.
 //! This module lowers guest code into **superblocks** — traces along the
 //! hot path — and executes them with a token-threaded dispatch over
-//! pre-lowered micro-ops:
+//! pre-lowered micro-ops ([`LOp`]), one `match` arm per op and no other
+//! decision at run time that translation could make:
 //!
 //! * operand register indices and sign-extended immediates are resolved at
 //!   translation time, branch/jump targets are absolute addresses;
+//! * the kind fixes everything static: a memory op's access width (one kind
+//!   per width, so the bus sees a constant size), a side exit's condition
+//!   and fused pre-op, which of two fused shapes an op is;
 //! * common idioms are fused into macro-ops (`movi`+`movhi` constant
 //!   synthesis, `la`+`add`+`ld` table lookups, `addi`+`ld` address
 //!   generation, `ld`+`xor` mix steps, `ld`+`st` copies, `addi`+branch
 //!   loop back-edges), so one dispatch retires several guest instructions;
 //! * fuel is accounted **per block**: the whole block cost is charged at
-//!   entry, and early exits (faults, self-patching stores) refund the
-//!   unexecuted remainder, reconstructing the exact per-instruction fault
-//!   address and retired count the interpreter would have produced;
+//!   entry. Each op records how many instructions the block retired before
+//!   it ([`LOp::pre`]), so an early exit (side exit, fault, self-patching
+//!   store) knows its exact retired count and fault address without a run-
+//!   time counter, and the caller refunds the unexecuted remainder;
+//! * a followed `jmp` lowers to no op at all: it counts in the block cost
+//!   and in the `pre` of every op after it;
 //! * page boundaries shape nothing: a trace lowers from up to
 //!   [`MAX_TRACE_PAGES`] pages, and a block exit chains into the next block
 //!   on any page while the bus's [`Bus::code_epoch`] vouches that no
@@ -39,16 +46,32 @@ use crate::interp::{Exit, Vm};
 use crate::isa::{Instr, Opcode, INSTR_SIZE, NUM_REGS, REG_SP};
 use crate::mem::{Bus, VmFault, CODE_PAGE_SIZE};
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 const PAGE_MASK: u64 = CODE_PAGE_SIZE - 1;
 
 /// Instruction slots per code page.
 const INSTRS_PER_PAGE: usize = (CODE_PAGE_SIZE / INSTR_SIZE) as usize;
 
-/// Lowered micro-op kinds. `T*` kinds are terminators: every block ends
-/// with exactly one, and nothing before a terminator transfers control.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LKind {
+/// Declares [`LKind`] and [`LKind::ALL`], the list of every kind.
+macro_rules! lkinds {
+    ($($(#[$doc:meta])* $kind:ident,)*) => {
+        /// Lowered micro-op kinds. `T*` kinds are terminators: every block
+        /// ends with exactly one, and nothing before a terminator transfers
+        /// control except a side exit.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum LKind {
+            $($(#[$doc])* $kind,)*
+        }
+
+        impl LKind {
+            /// Every kind, in declaration order.
+            const ALL: &'static [LKind] = &[$(LKind::$kind,)*];
+        }
+    };
+}
+
+lkinds! {
     // Straight-line ops.
     MovR,
     LImm,  // also carries pre-resolved Ldpc results and fused movi+movhi
@@ -79,11 +102,10 @@ enum LKind {
     Rotl32i,
     Rotr32i,
     Add32i,
-    Ld, // size in `sz`
-    St, // size in `sz`
-    /// A followed `jmp`: retires the jump, control stays inside the trace
-    /// (the next op is the jump target's lowering).
-    Hop,
+    // Memory ops: one kind per access width, named by its bits like the
+    // ISA's `ld8u`..`ld64` (see [`Widths`]).
+    Ld8, Ld16, Ld32, Ld64, // ld a,[b+imm]
+    St8, St16, St32, St64, // st a,[b+imm]
     /// A followed `call`: pushes the return address and falls through to
     /// the callee's lowering. Exits via `Patched` if the push hits a page
     /// the block lowered.
@@ -94,34 +116,37 @@ enum LKind {
     /// continuation; otherwise side-exits to the popped address.
     RetHop,
     // Fused macro-ops.
-    LdSt,      // ld a,[b+imm]; st a,[c+aux]
-    LdXor,     // ld a,[b+imm]; xor c,c,a
-    LdAdd32,   // ld a,[b+imm]; add32 c,c,a
-    AddLd,     // add t,b,c; ld a,[t+imm]        (t in sz high nibble)
-    AddiLd,    // addi t,b,aux; ld a,[t+imm]     (t in sz high nibble)
-    TabLd,     // t = aux; c = aux + r[b]; ld a,[c+imm]   (la+add+ld lookup)
-    AddSl,     // u = r[c] << imm; a = r[b] + u  (u in sz high nibble)
-    OrSl,      // u = r[c] << imm; a = r[b] | u  (u in sz high nibble)
-    SlLd,      // u = r[c] << k; d = r[b] + u; ld a,[d+imm]  (k,u,d in aux)
+    LdSt8, LdSt16, LdSt32, LdSt64,                 // ld a,[b+imm]; st a,[c+aux]
+    LdXor8, LdXor16, LdXor32, LdXor64,             // ld a,[b+imm]; xor c,c,a
+    LdAdd32_8, LdAdd32_16, LdAdd32_32, LdAdd32_64, // ld a,[b+imm]; add32 c,c,a
+    AddLd8, AddLd16, AddLd32, AddLd64,             // add d,b,c; ld a,[d+imm]
+    AddiLd8, AddiLd16, AddiLd32, AddiLd64,         // addi d,b,aux; ld a,[d+imm]
+    // d = aux; c = aux + r[b]; ld a,[c+imm]   (la+add+ld lookup)
+    TabLd8, TabLd16, TabLd32, TabLd64,
+    // u = r[c] << k; e = r[b] + u; ld a,[e+imm]  (k,u,e in aux)
+    SlLd8, SlLd16, SlLd32, SlLd64,
+    AddSl,     // d = r[c] << imm; a = r[b] + d
+    OrSl,      // d = r[c] << imm; a = r[b] | d
     ShrAndi,   // a = (r[b] >> imm) & aux      (same-reg shrui+andi)
     ShruAndi,  // a = (r[b] >> (r[c]&63)) & aux (same-reg shru+andi)
-    Xor3,      // a = r[b] ^ r[c] ^ r[u]       (u in sz high nibble)
-    Add3,      // a = r[b] + r[c] + r[u]       (u in sz high nibble, u≠a)
-    Add32_3,   // 32-bit a = b + c + u         (u in sz high nibble, u≠a)
+    Xor3,      // a = r[b] ^ r[c] ^ r[d]
+    Add3,      // a = r[b] + r[c] + r[d]       (d≠a)
+    Add32_3,   // 32-bit a = b + c + d         (d≠a)
     RotlAdd32, // 32-bit a = rotl(b, imm) + c
-    XorSt,     // a = r[b] ^ r[c]; st a,[u+aux] (u in sz high nibble)
-    Mov2,      // a = r[b]; c = r[u]           (u in sz high nibble)
-    // Side exits: the trace leaves through `imm` when the lowered
-    // condition holds, otherwise execution continues with the next op.
-    // Backward branches are stored inverted (exit = loop exit), so hot
-    // back-edges stay inside the trace and loops unroll up to the cap.
-    // `sz` marks a fused pre-op: 1 → addi c,c,aux; 2 → movi c,aux.
-    TBeq, // imm = absolute exit target
-    TBne,
-    TBltu,
-    TBgeu,
-    TBlts,
-    TBges,
+    XorSt8, XorSt16, XorSt32, XorSt64, // a = r[b] ^ r[c]; st a,[d+aux]
+    Mov2,      // a = r[b]; c = r[d]
+    // Side exits (see [`SIDE`]): the trace leaves through `imm` when the
+    // lowered condition on r[a], r[b] holds, otherwise execution continues
+    // with the next op. Backward branches are stored inverted (exit = loop
+    // exit), so hot back-edges stay inside the trace and loops unroll up to
+    // the cap. The `Addi`/`Movi` forms first run a fused pre-op on r[c]:
+    // `addi c,c,aux` (loop step) or `movi c,aux` (loop bound).
+    Beq, BeqAddi, BeqMovi,
+    Bne, BneAddi, BneMovi,
+    Bltu, BltuAddi, BltuMovi,
+    Bgeu, BgeuAddi, BgeuMovi,
+    Blts, BltsAddi, BltsMovi,
+    Bges, BgesAddi, BgesMovi,
     // Terminators.
     TJmp,   // imm = absolute target (a page the trace cannot add)
     TCall,  // imm = absolute target
@@ -135,6 +160,57 @@ enum LKind {
     TFall, // trace cap or an undecodable page; imm = continuation address
 }
 
+/// A memory kind's four variants, by access width: 1, 2, 4 and 8 bytes.
+type Widths = [LKind; 4];
+
+const LD: Widths = [LKind::Ld8, LKind::Ld16, LKind::Ld32, LKind::Ld64];
+const ST: Widths = [LKind::St8, LKind::St16, LKind::St32, LKind::St64];
+const LD_ST: Widths = [LKind::LdSt8, LKind::LdSt16, LKind::LdSt32, LKind::LdSt64];
+const LD_XOR: Widths = [LKind::LdXor8, LKind::LdXor16, LKind::LdXor32, LKind::LdXor64];
+const LD_ADD32: Widths =
+    [LKind::LdAdd32_8, LKind::LdAdd32_16, LKind::LdAdd32_32, LKind::LdAdd32_64];
+const ADD_LD: Widths = [LKind::AddLd8, LKind::AddLd16, LKind::AddLd32, LKind::AddLd64];
+const ADDI_LD: Widths = [LKind::AddiLd8, LKind::AddiLd16, LKind::AddiLd32, LKind::AddiLd64];
+const TAB_LD: Widths = [LKind::TabLd8, LKind::TabLd16, LKind::TabLd32, LKind::TabLd64];
+const SL_LD: Widths = [LKind::SlLd8, LKind::SlLd16, LKind::SlLd32, LKind::SlLd64];
+const XOR_ST: Widths = [LKind::XorSt8, LKind::XorSt16, LKind::XorSt32, LKind::XorSt64];
+
+/// The variant of memory kind `kinds` for the width of load or store `op`.
+fn sized(kinds: Widths, op: Opcode) -> LKind {
+    kinds[mem_size(op).trailing_zeros() as usize]
+}
+
+/// Side-exit kinds by condition, in the order `beq bne bltu bgeu blts
+/// bges` (so `cond ^ 1` is the opposite condition), and by fused pre-op
+/// ([`PRE_NONE`], [`PRE_ADDI`], [`PRE_MOVI`]).
+const SIDE: [[LKind; 3]; 6] = {
+    use LKind::*;
+    [
+        [Beq, BeqAddi, BeqMovi],
+        [Bne, BneAddi, BneMovi],
+        [Bltu, BltuAddi, BltuMovi],
+        [Bgeu, BgeuAddi, BgeuMovi],
+        [Blts, BltsAddi, BltsMovi],
+        [Bges, BgesAddi, BgesMovi],
+    ]
+};
+
+// Side-exit conditions (rows of [`SIDE`]) and pre-ops (its columns).
+const EQ: u8 = 0;
+const NE: u8 = 1;
+const LTU: u8 = 2;
+const GEU: u8 = 3;
+const LTS: u8 = 4;
+const GES: u8 = 5;
+const PRE_NONE: u8 = 0;
+const PRE_ADDI: u8 = 1;
+const PRE_MOVI: u8 = 2;
+
+/// The `(condition, pre-op)` of side-exit kind `k`.
+fn side_pos(k: LKind) -> Option<(usize, usize)> {
+    SIDE.iter().enumerate().find_map(|(cond, row)| Some((cond, row.iter().position(|&s| s == k)?)))
+}
+
 /// One lowered micro-op. 24 bytes; operands pre-resolved at translation.
 #[derive(Debug, Clone, Copy)]
 struct LOp {
@@ -142,20 +218,27 @@ struct LOp {
     a: u8,
     b: u8,
     c: u8,
+    /// Fourth register of fused ops: the scratch register a fused shape
+    /// also writes (`AddLd`, `AddiLd`, `TabLd`, `AddSl`, `OrSl`), a third
+    /// source (`Xor3`, `Add3`, `Add32_3`, `Mov2`) or a store base (`XorSt`).
+    d: u8,
+    /// Guest instructions the block retired before this op. An exit `k`
+    /// instructions into the op has retired `pre + k + 1` ([`through`]):
+    /// exits read it, the dispatch loop never does.
+    pre: u8,
     /// Where the op's **first** source instruction sits: the index of its
     /// page in the block's [`Pages`] above [`IDX_BITS`], the instruction
     /// index within that page below.
     off: u16,
-    /// Guest instructions this op retires (fusion width; 0 for `TFall`).
-    retire: u8,
-    /// Memory size in the low nibble; fused scratch register in the high.
-    sz: u8,
     /// Primary immediate: sign-extended value or absolute target.
     imm: u64,
-    /// Secondary immediate for fused ops (pre-addi delta, store offset,
+    /// Secondary immediate for fused ops (pre-op operand, store offset,
     /// table base).
     aux: u64,
 }
+
+// The dispatch loop streams through the ops: keep each at 24 bytes.
+const _: () = assert!(std::mem::size_of::<LOp>() == 24);
 
 /// Bits of [`LOp::off`] that index an instruction within its page.
 const IDX_BITS: u32 = INSTRS_PER_PAGE.trailing_zeros();
@@ -276,6 +359,17 @@ impl TransCache {
         self.slots.clear();
         self.index.clear();
         self.recent = [(NO_PAGE, 0); RECENT_PAGES];
+    }
+
+    /// How many ops of each lowered kind the cached blocks hold, by kind
+    /// name. Every kind is listed, one no cached block uses with 0, so a
+    /// test can see which lowerings a program exercises.
+    pub fn kind_census(&self) -> Vec<(String, usize)> {
+        let ops = || self.slots.iter().flat_map(|s| &s.blocks).flat_map(|b| b.ops.iter());
+        LKind::ALL
+            .iter()
+            .map(|&k| (format!("{k:?}"), ops().filter(|op| op.kind == k).count()))
+            .collect()
     }
 
     /// The slot of `page`, if it has one.
@@ -458,9 +552,9 @@ fn lower_one(ins: Instr, pc: u64, off: u16) -> LOp {
         a: ins.a,
         b: ins.b,
         c: ins.c,
+        d: 0,
+        pre: 0,
         off,
-        retire: 1,
-        sz: 0,
         imm: sx(ins.imm),
         aux: 0,
     };
@@ -517,14 +611,8 @@ fn lower_one(ins: Instr, pc: u64, off: u16) -> LOp {
             op.imm = ins.imm as u32 as u64;
             Add32i
         }
-        Opcode::Ld8u | Opcode::Ld16u | Opcode::Ld32u | Opcode::Ld64 => {
-            op.sz = mem_size(ins.op);
-            Ld
-        }
-        Opcode::St8 | Opcode::St16 | Opcode::St32 | Opcode::St64 => {
-            op.sz = mem_size(ins.op);
-            St
-        }
+        Opcode::Ld8u | Opcode::Ld16u | Opcode::Ld32u | Opcode::Ld64 => sized(LD, ins.op),
+        Opcode::St8 | Opcode::St16 | Opcode::St32 | Opcode::St64 => sized(ST, ins.op),
         Opcode::Jmp => {
             op.imm = next.wrapping_add(sx(ins.imm));
             TJmp
@@ -532,12 +620,12 @@ fn lower_one(ins: Instr, pc: u64, off: u16) -> LOp {
         Opcode::Beq | Opcode::Bne | Opcode::Bltu | Opcode::Bgeu | Opcode::Blts | Opcode::Bges => {
             op.imm = next.wrapping_add(sx(ins.imm));
             match ins.op {
-                Opcode::Beq => TBeq,
-                Opcode::Bne => TBne,
-                Opcode::Bltu => TBltu,
-                Opcode::Bgeu => TBgeu,
-                Opcode::Blts => TBlts,
-                _ => TBges,
+                Opcode::Beq => Beq,
+                Opcode::Bne => Bne,
+                Opcode::Bltu => Bltu,
+                Opcode::Bgeu => Bgeu,
+                Opcode::Blts => Blts,
+                _ => Bges,
             }
         }
         Opcode::Call => {
@@ -616,13 +704,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                             if is_load(n3.op) && n3.b == n2.a {
                                 return Some((
                                     LOp {
-                                        kind: TabLd,
+                                        kind: sized(TAB_LD, n3.op),
                                         a: n3.a,
                                         b: q,
                                         c: n2.a,
+                                        d: t,
+                                        pre: 0,
                                         off,
-                                        retire: 4,
-                                        sz: mem_size(n3.op) | (t << 4),
                                         imm: sx(n3.imm),
                                         aux: full,
                                     },
@@ -633,7 +721,7 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                     }
                 }
                 return Some((
-                    LOp { kind: LImm, a: t, b: 0, c: 0, off, retire: 2, sz: 0, imm: full, aux: 0 },
+                    LOp { kind: LImm, a: t, b: 0, c: 0, d: 0, pre: 0, off, imm: full, aux: 0 },
                     2,
                 ));
             }
@@ -641,9 +729,7 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             // dominant loop-header shape). The movi still writes x.
             if is_branch(n1.op) {
                 let mut op = lower_one(n1, pc.wrapping_add(INSTR_SIZE), off);
-                op.off = off;
-                op.retire = 2;
-                op.sz = 2; // pre-movi marker
+                op.kind = with_pre(op.kind, PRE_MOVI);
                 op.c = i0.a;
                 op.aux = sx(i0.imm);
                 return Some((op, 2));
@@ -657,13 +743,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             if is_load(n1.op) && n1.b == i0.a {
                 return Some((
                     LOp {
-                        kind: AddiLd,
+                        kind: sized(ADDI_LD, n1.op),
                         a: n1.a,
                         b: i0.b,
                         c: 0,
+                        d: i0.a,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: mem_size(n1.op) | (i0.a << 4),
                         imm: sx(n1.imm),
                         aux: sx(i0.imm),
                     },
@@ -676,9 +762,7 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             if let Some(n1) = i1 {
                 if is_branch(n1.op) {
                     let mut op = lower_one(n1, pc.wrapping_add(INSTR_SIZE), off);
-                    op.off = off;
-                    op.retire = 2;
-                    op.sz = 1; // pre-addi marker
+                    op.kind = with_pre(op.kind, PRE_ADDI);
                     op.c = i0.a;
                     op.aux = sx(i0.imm);
                     return Some((op, 2));
@@ -693,13 +777,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             if is_load(n1.op) && n1.b == i0.a {
                 return Some((
                     LOp {
-                        kind: AddLd,
+                        kind: sized(ADD_LD, n1.op),
                         a: n1.a,
                         b: i0.b,
                         c: i0.c,
+                        d: i0.a,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: mem_size(n1.op) | (i0.a << 4),
                         imm: sx(n1.imm),
                         aux: 0,
                     },
@@ -721,13 +805,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                     if is_load(n2.op) && n2.b == n1.a {
                         return Some((
                             LOp {
-                                kind: SlLd,
+                                kind: sized(SL_LD, n2.op),
                                 a: n2.a,
                                 b: other,
                                 c: i0.b,
+                                d: 0,
+                                pre: 0,
                                 off,
-                                retire: 3,
-                                sz: mem_size(n2.op),
                                 imm: sx(n2.imm),
                                 aux: (i0.imm as u64 & 63)
                                     | ((u as u64) << 8)
@@ -743,9 +827,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                         a: n1.a,
                         b: other,
                         c: i0.b,
+                        d: u,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: u << 4,
                         imm: i0.imm as u64 & 63,
                         aux: 0,
                     },
@@ -760,9 +844,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                         a: n1.a,
                         b: other,
                         c: i0.b,
+                        d: u,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: u << 4,
                         imm: i0.imm as u64 & 63,
                         aux: 0,
                     },
@@ -783,9 +867,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                         a: i0.a,
                         b: i0.b,
                         c: 0,
+                        d: 0,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: 0,
                         imm: i0.imm as u64 & 63,
                         aux: sx(n1.imm),
                     },
@@ -805,9 +889,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                         a: i0.a,
                         b: i0.b,
                         c: i0.c,
+                        d: 0,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: 0,
                         imm: 0,
                         aux: sx(n1.imm),
                     },
@@ -829,9 +913,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                         a: i0.a,
                         b: i0.b,
                         c: i0.c,
+                        d: x,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: x << 4,
                         imm: 0,
                         aux: 0,
                     },
@@ -841,13 +925,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             if is_store(n1.op) && n1.a == i0.a {
                 return Some((
                     LOp {
-                        kind: XorSt,
+                        kind: sized(XOR_ST, n1.op),
                         a: i0.a,
                         b: i0.b,
                         c: i0.c,
+                        d: n1.b,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: mem_size(n1.op) | (n1.b << 4),
                         imm: 0,
                         aux: sx(n1.imm),
                     },
@@ -870,9 +954,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                             a: i0.a,
                             b: i0.b,
                             c: i0.c,
+                            d,
+                            pre: 0,
                             off,
-                            retire: 2,
-                            sz: d << 4,
                             imm: 0,
                             aux: 0,
                         },
@@ -896,9 +980,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                             a: i0.a,
                             b: i0.b,
                             c: x,
+                            d: 0,
+                            pre: 0,
                             off,
-                            retire: 2,
-                            sz: 0,
                             imm: i0.imm as u64 & 31,
                             aux: 0,
                         },
@@ -919,9 +1003,9 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
                         a: i0.a,
                         b: i0.b,
                         c: n1.a,
+                        d: n1.b,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: n1.b << 4,
                         imm: 0,
                         aux: 0,
                     },
@@ -937,13 +1021,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             if n1.op == Opcode::Xor && n1.b == n1.a && n1.c == i0.a && n1.a != i0.b {
                 return Some((
                     LOp {
-                        kind: LdXor,
+                        kind: sized(LD_XOR, i0.op),
                         a: i0.a,
                         b: i0.b,
                         c: n1.a,
+                        d: 0,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: mem_size(i0.op),
                         imm: sx(i0.imm),
                         aux: 0,
                     },
@@ -955,13 +1039,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             if n1.op == Opcode::Add32 && n1.b == n1.a && n1.c == i0.a && n1.a != i0.b {
                 return Some((
                     LOp {
-                        kind: LdAdd32,
+                        kind: sized(LD_ADD32, i0.op),
                         a: i0.a,
                         b: i0.b,
                         c: n1.a,
+                        d: 0,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: mem_size(i0.op),
                         imm: sx(i0.imm),
                         aux: 0,
                     },
@@ -972,13 +1056,13 @@ fn try_fuse(w: &[Option<Instr>; 4], pc: u64, off: u16) -> Option<(LOp, usize)> {
             if is_store(n1.op) && n1.a == i0.a && mem_size(n1.op) == mem_size(i0.op) {
                 return Some((
                     LOp {
-                        kind: LdSt,
+                        kind: sized(LD_ST, i0.op),
                         a: i0.a,
                         b: i0.b,
                         c: n1.b,
+                        d: 0,
+                        pre: 0,
                         off,
-                        retire: 2,
-                        sz: mem_size(i0.op),
                         imm: sx(i0.imm),
                         aux: sx(n1.imm),
                     },
@@ -996,23 +1080,16 @@ fn is_terminator(k: LKind) -> bool {
     matches!(k, TJmp | TCall | TCallr | TRet | TJmpr | THalt | TOcall | TIntrin | TIllegal | TFall)
 }
 
-fn is_side_branch(k: LKind) -> bool {
-    use LKind::*;
-    matches!(k, TBeq | TBne | TBltu | TBgeu | TBlts | TBges)
+/// Side exit `k` with fused pre-op `pre` instead of its own.
+fn with_pre(k: LKind, pre: u8) -> LKind {
+    let (cond, _) = side_pos(k).expect("a side exit");
+    SIDE[cond][pre as usize]
 }
 
 /// The opposite condition — used to store backward branches exit-inverted.
 fn invert(k: LKind) -> LKind {
-    use LKind::*;
-    match k {
-        TBeq => TBne,
-        TBne => TBeq,
-        TBltu => TBgeu,
-        TBgeu => TBltu,
-        TBlts => TBges,
-        TBges => TBlts,
-        other => other,
-    }
+    let (cond, pre) = side_pos(k).expect("a side exit");
+    SIDE[cond ^ 1][pre]
 }
 
 /// Upper bound on guest instructions lowered into one trace. Hot loops
@@ -1021,8 +1098,12 @@ fn invert(k: LKind) -> LKind {
 /// interpreter when a run's remaining budget is smaller than one trace.
 const MAX_TRACE_INSTRS: usize = 192;
 
+// A trace stops lowering once it reaches the cap, after an op of at most
+// four instructions, so every [`LOp::pre`] fits its byte.
+const _: () = assert!(MAX_TRACE_INSTRS + 4 <= u8::MAX as usize);
+
 /// Builds the trace superblock starting at `start`: straight-line lowering
-/// that additionally follows unconditional jumps ([`LKind::Hop`]) and
+/// that additionally follows unconditional jumps (lowered to nothing) and
 /// calls ([`LKind::HCall`], with guarded returns) and continues through
 /// conditional branches as side exits — forward branches exit when taken,
 /// backward branches (loop back-edges) are stored inverted so the hot
@@ -1043,19 +1124,21 @@ fn translate_block<B: Bus + ?Sized>(view: &mut View<'_, B>, start: u64) -> Block
         let Some((w, off)) = here else {
             // Trace cap, or a page the view cannot add: continue at `pc`.
             let fall = lower_one(Instr::ILLEGAL, pc, 0);
-            ops.push(LOp { kind: LKind::TFall, retire: 0, imm: pc, ..fall });
+            ops.push(LOp { kind: LKind::TFall, pre: cost as u8, imm: pc, ..fall });
             break;
         };
         let i0 = w[0].expect("window starts at pc");
         let (mut op, len) = try_fuse(&w, pc, off).unwrap_or_else(|| (lower_one(i0, pc, off), 1));
+        op.pre = cost as u8;
         budget = budget.saturating_sub(len);
-        cost += op.retire as u64;
+        cost += len as u64;
         let fall = pc.wrapping_add(len as u64 * INSTR_SIZE);
         pc = match op.kind {
             LKind::TJmp if view.covers(op.imm) => {
-                // Followed jump: retire it and keep lowering at the target.
-                op.kind = LKind::Hop;
-                op.imm
+                // Followed jump: it retires in the block cost and in the
+                // `pre` of every later op, and emits no op.
+                pc = op.imm;
+                continue;
             }
             LKind::TCall if view.covers(op.imm) => {
                 // Followed call: push the return address in-trace and keep
@@ -1071,7 +1154,7 @@ fn translate_block<B: Bus + ?Sized>(view: &mut View<'_, B>, start: u64) -> Block
                 op.imm = ret_stack.pop().expect("non-empty");
                 op.imm
             }
-            kind if is_side_branch(kind) && op.imm < pc && view.covers(op.imm) => {
+            kind if side_pos(kind).is_some() && op.imm < pc && view.covers(op.imm) => {
                 // Backward branch: follow the taken direction (the hot
                 // loop edge); the stored condition is inverted and the
                 // exit target is the fall-through.
@@ -1125,31 +1208,303 @@ fn hits(ea: u64, size: u64, pages: &Pages) -> bool {
     on(lo) || (hi != lo && on(hi))
 }
 
-/// The exit for a fault `k` instructions into `op`, after the block
-/// retired `done` instructions before it.
-#[inline]
-fn fault_in(pages: &Pages, op: &LOp, k: u64, done: u64, fault: VmFault) -> BlockExit {
-    BlockExit::Fault { fault, at: op_pc(pages, op, k), consumed: done + k + 1 }
+/// Guest instructions a block has retired once the instruction `k` slots
+/// into `op` has.
+#[inline(always)]
+fn through(op: &LOp, k: u64) -> u64 {
+    op.pre as u64 + k + 1
 }
 
-/// Executes one superblock. The caller has already charged the full block
-/// cost; early exits report `consumed` so the difference can be refunded.
+/// The exit for a fault `k` instructions into `op`.
+#[inline]
+fn fault_in(pages: &Pages, op: &LOp, k: u64, fault: VmFault) -> BlockExit {
+    BlockExit::Fault { fault, at: op_pc(pages, op, k), consumed: through(op, k) }
+}
+
+/// The general-purpose registers.
+type Regs = [u64; NUM_REGS];
+
+/// One op's outcome: `Err` is an exit from the block.
+type Step = Result<(), BlockExit>;
+
+/// A register index; indices are < 16 by `Instr::decode`, and the mask
+/// lets the compiler drop the bounds check on every register access.
+#[inline(always)]
+fn reg(i: u8) -> usize {
+    (i & 0xF) as usize
+}
+
+// The per-kind bodies of [`exec_block`]. Each memory body takes its access
+// width `N` (bytes) as a const parameter, so every width variant of a kind
+// is one arm calling the same body, and `Bus::load`/`Bus::store` see a
+// constant size.
+
+/// Loads `N` bytes at `ea` for the instruction `k` slots into `op`.
+#[inline(always)]
+fn load<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    bus: &mut B,
+    ea: u64,
+    k: u64,
+) -> Result<u64, BlockExit> {
+    bus.load(ea, N).map_err(|fault| fault_in(pages, op, k, fault))
+}
+
+/// Stores `N` bytes of `v` at `ea` for the instruction `k` slots into
+/// `op`; a store that hits a page the block lowered exits `Patched`.
+#[inline(always)]
+fn store<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    bus: &mut B,
+    ea: u64,
+    v: u64,
+    k: u64,
+) -> Step {
+    if let Err(fault) = bus.store(ea, N, v) {
+        return Err(fault_in(pages, op, k, fault));
+    }
+    if hits(ea, N as u64, pages) {
+        return Err(BlockExit::Patched { next: op_pc(pages, op, k + 1), consumed: through(op, k) });
+    }
+    Ok(())
+}
+
+/// `ld a,[b+imm]`.
+#[inline(always)]
+fn ld<const N: usize, B: Bus + ?Sized>(op: &LOp, pages: &Pages, r: &mut Regs, bus: &mut B) -> Step {
+    r[reg(op.a)] = load::<N, B>(op, pages, bus, r[reg(op.b)].wrapping_add(op.imm), 0)?;
+    Ok(())
+}
+
+/// `st a,[b+imm]`.
+#[inline(always)]
+fn st<const N: usize, B: Bus + ?Sized>(op: &LOp, pages: &Pages, r: &mut Regs, bus: &mut B) -> Step {
+    store::<N, B>(op, pages, bus, r[reg(op.b)].wrapping_add(op.imm), r[reg(op.a)], 0)
+}
+
+/// `ld a,[b+imm]; st a,[c+aux]`.
+#[inline(always)]
+fn ld_st<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    let a = reg(op.a);
+    r[a] = load::<N, B>(op, pages, bus, r[reg(op.b)].wrapping_add(op.imm), 0)?;
+    store::<N, B>(op, pages, bus, r[reg(op.c)].wrapping_add(op.aux), r[a], 1)
+}
+
+/// `ld a,[b+imm]; xor c,c,a`.
+#[inline(always)]
+fn ld_xor<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    let v = load::<N, B>(op, pages, bus, r[reg(op.b)].wrapping_add(op.imm), 0)?;
+    r[reg(op.a)] = v;
+    r[reg(op.c)] ^= v;
+    Ok(())
+}
+
+/// `ld a,[b+imm]; add32 c,c,a`.
+#[inline(always)]
+fn ld_add32<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    let v = load::<N, B>(op, pages, bus, r[reg(op.b)].wrapping_add(op.imm), 0)?;
+    r[reg(op.a)] = v;
+    let c = reg(op.c);
+    r[c] = (r[c] as u32).wrapping_add(v as u32) as u64;
+    Ok(())
+}
+
+/// The fused loads' last step: `ld a,[base+imm]`, the instruction `k`
+/// slots into `op`.
+#[inline(always)]
+fn ld_from<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+    base: u64,
+    k: u64,
+) -> Step {
+    r[reg(op.a)] = load::<N, B>(op, pages, bus, base.wrapping_add(op.imm), k)?;
+    Ok(())
+}
+
+/// `add d,b,c; ld a,[d+imm]`.
+#[inline(always)]
+fn add_ld<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    let t = r[reg(op.b)].wrapping_add(r[reg(op.c)]);
+    r[reg(op.d)] = t;
+    ld_from::<N, B>(op, pages, r, bus, t, 1)
+}
+
+/// `addi d,b,aux; ld a,[d+imm]`.
+#[inline(always)]
+fn addi_ld<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    let t = r[reg(op.b)].wrapping_add(op.aux);
+    r[reg(op.d)] = t;
+    ld_from::<N, B>(op, pages, r, bus, t, 1)
+}
+
+/// `movi d,lo; movhi d,hi; add c,d,b; ld a,[c+imm]` (a table lookup).
+#[inline(always)]
+fn tab_ld<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    // `la` writes the table base into d, the add writes the address into
+    // c; both writes are architectural. r[b] is read after the base write
+    // (b may alias d).
+    r[reg(op.d)] = op.aux;
+    let s = op.aux.wrapping_add(r[reg(op.b)]);
+    r[reg(op.c)] = s;
+    ld_from::<N, B>(op, pages, r, bus, s, 3)
+}
+
+/// `shli u,c,k; add e,b,u; ld a,[e+imm]`, with `k`, `u` and `e` in `aux`.
+#[inline(always)]
+fn sl_ld<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    let sh = r[reg(op.c)] << (op.aux & 63);
+    r[((op.aux >> 8) & 0xF) as usize] = sh;
+    let s = r[reg(op.b)].wrapping_add(sh);
+    r[((op.aux >> 16) & 0xF) as usize] = s;
+    ld_from::<N, B>(op, pages, r, bus, s, 2)
+}
+
+/// `xor a,b,c; st a,[d+aux]`.
+#[inline(always)]
+fn xor_st<const N: usize, B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Step {
+    let v = r[reg(op.b)] ^ r[reg(op.c)];
+    r[reg(op.a)] = v;
+    // The store base is read after the xor write (it may alias).
+    store::<N, B>(op, pages, bus, r[reg(op.d)].wrapping_add(op.aux), v, 1)
+}
+
+/// A side exit on condition `COND` (a row of [`SIDE`]) after fused pre-op
+/// `PRE`: leaves for `imm` when the condition holds.
+#[inline(always)]
+fn side<const COND: u8, const PRE: u8>(op: &LOp, r: &mut Regs) -> Step {
+    let c = reg(op.c);
+    match PRE {
+        PRE_ADDI => r[c] = r[c].wrapping_add(op.aux),
+        PRE_MOVI => r[c] = op.aux,
+        _ => {}
+    }
+    let (x, y) = (r[reg(op.a)], r[reg(op.b)]);
+    let exit = match COND {
+        EQ => x == y,
+        NE => x != y,
+        LTU => x < y,
+        GEU => x >= y,
+        LTS => (x as i64) < (y as i64),
+        _ => (x as i64) >= (y as i64),
+    };
+    if exit {
+        let k = (PRE != PRE_NONE) as u64;
+        return Err(BlockExit::Seq { next: op.imm, consumed: through(op, k) });
+    }
+    Ok(())
+}
+
+/// The divisor `r[c]` of `divu`/`remu`; zero faults.
+#[inline(always)]
+fn divisor(op: &LOp, pages: &Pages, r: &Regs) -> Result<u64, BlockExit> {
+    match r[reg(op.c)] {
+        0 => {
+            let at = op_pc(pages, op, 0);
+            Err(BlockExit::Fault {
+                fault: VmFault::DivideByZero { addr: at },
+                at,
+                consumed: through(op, 0),
+            })
+        }
+        d => Ok(d),
+    }
+}
+
+/// A call's push of its return address; a push that hits a page the block
+/// lowered exits `Patched` towards `target`.
+#[inline(always)]
+fn push_ret<B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+    target: u64,
+) -> Step {
+    let ret = op_pc(pages, op, 1);
+    let sp = r[REG_SP as usize].wrapping_sub(8);
+    if let Err(fault) = bus.store(sp, 8, ret) {
+        return Err(fault_in(pages, op, 0, fault));
+    }
+    r[REG_SP as usize] = sp;
+    if hits(sp, 8, pages) {
+        return Err(BlockExit::Patched { next: target, consumed: through(op, 0) });
+    }
+    Ok(())
+}
+
+/// A `ret`'s pop of its return address.
+#[inline(always)]
+fn pop_ret<B: Bus + ?Sized>(
+    op: &LOp,
+    pages: &Pages,
+    r: &mut Regs,
+    bus: &mut B,
+) -> Result<u64, BlockExit> {
+    let sp = r[REG_SP as usize];
+    let v = load::<8, B>(op, pages, bus, sp, 0)?;
+    r[REG_SP as usize] = sp.wrapping_add(8);
+    Ok(v)
+}
+
+/// Executes one superblock: one `match` arm per op, and every way out is
+/// an `Err` exit. The caller has already charged the full block cost;
+/// early exits report `consumed` so the difference can be refunded.
 /// `pages` is the block's [`Block::pages`]: stores that hit any of them
 /// invalidate lowered instructions.
 fn exec_block<B: Bus + ?Sized>(
     ops: &[LOp],
     pages: &Pages,
-    r: &mut [u64; NUM_REGS],
+    r: &mut Regs,
     bus: &mut B,
-) -> BlockExit {
+) -> Result<Infallible, BlockExit> {
     use LKind::*;
-    let mut done: u64 = 0;
     for op in ops {
-        // Register indices are < 16 by `Instr::decode`; the mask lets the
-        // compiler drop the bounds checks on every register access.
-        let a = (op.a & 0xF) as usize;
-        let b = (op.b & 0xF) as usize;
-        let c = (op.c & 0xF) as usize;
+        let (a, b, c) = (reg(op.a), reg(op.b), reg(op.c));
         match op.kind {
             MovR => r[a] = r[b],
             LImm => r[a] = op.imm,
@@ -1157,18 +1512,8 @@ fn exec_block<B: Bus + ?Sized>(
             Add => r[a] = r[b].wrapping_add(r[c]),
             Sub => r[a] = r[b].wrapping_sub(r[c]),
             Mul => r[a] = r[b].wrapping_mul(r[c]),
-            Divu | Remu => {
-                let d = r[c];
-                if d == 0 {
-                    let at = op_pc(pages, op, 0);
-                    return BlockExit::Fault {
-                        fault: VmFault::DivideByZero { addr: at },
-                        at,
-                        consumed: done + 1,
-                    };
-                }
-                r[a] = if op.kind == Divu { r[b] / d } else { r[b] % d };
-            }
+            Divu => r[a] = r[b] / divisor(op, pages, r)?,
+            Remu => r[a] = r[b] % divisor(op, pages, r)?,
             And => r[a] = r[b] & r[c],
             Or => r[a] = r[b] | r[c],
             Xor => r[a] = r[b] ^ r[c],
@@ -1190,250 +1535,153 @@ fn exec_block<B: Bus + ?Sized>(
             Rotl32i => r[a] = (r[b] as u32).rotate_left(op.imm as u32) as u64,
             Rotr32i => r[a] = (r[b] as u32).rotate_right(op.imm as u32) as u64,
             Add32i => r[a] = (r[b] as u32).wrapping_add(op.imm as u32) as u64,
-            Ld => {
-                let ea = r[b].wrapping_add(op.imm);
-                match bus.load(ea, (op.sz & 0xF) as usize) {
-                    Ok(v) => r[a] = v,
-                    Err(fault) => return fault_in(pages, op, 0, done, fault),
-                }
-            }
-            St => {
-                let ea = r[b].wrapping_add(op.imm);
-                let size = (op.sz & 0xF) as u64;
-                if let Err(fault) = bus.store(ea, size as usize, r[a]) {
-                    return fault_in(pages, op, 0, done, fault);
-                }
-                if hits(ea, size, pages) {
-                    return BlockExit::Patched { next: op_pc(pages, op, 1), consumed: done + 1 };
-                }
-            }
-            LdSt => {
-                let size = op.sz as u64;
-                let lea = r[b].wrapping_add(op.imm);
-                match bus.load(lea, size as usize) {
-                    Ok(v) => r[a] = v,
-                    Err(fault) => return fault_in(pages, op, 0, done, fault),
-                }
-                let sea = r[c].wrapping_add(op.aux);
-                if let Err(fault) = bus.store(sea, size as usize, r[a]) {
-                    return fault_in(pages, op, 1, done, fault);
-                }
-                if hits(sea, size, pages) {
-                    return BlockExit::Patched { next: op_pc(pages, op, 2), consumed: done + 2 };
-                }
-            }
-            LdXor => {
-                let ea = r[b].wrapping_add(op.imm);
-                match bus.load(ea, op.sz as usize) {
-                    Ok(v) => {
-                        r[a] = v;
-                        r[c] ^= v;
-                    }
-                    Err(fault) => return fault_in(pages, op, 0, done, fault),
-                }
-            }
-            AddLd | AddiLd => {
-                let t = if op.kind == AddLd {
-                    r[b].wrapping_add(r[c])
-                } else {
-                    r[b].wrapping_add(op.aux)
-                };
-                r[(op.sz >> 4) as usize] = t;
-                // The load is the op's last source instruction.
-                let lead = op.retire as u64 - 1;
-                let ea = t.wrapping_add(op.imm);
-                match bus.load(ea, (op.sz & 0xF) as usize) {
-                    Ok(v) => r[a] = v,
-                    Err(fault) => return fault_in(pages, op, lead, done, fault),
-                }
-            }
-            TabLd => {
-                // `la` writes the table base into t, the add writes the
-                // address into c; both writes are architectural. r[b] is
-                // read after the base write (b may alias t).
-                r[(op.sz >> 4) as usize] = op.aux;
-                let s = op.aux.wrapping_add(r[b]);
-                r[c] = s;
-                let lead = op.retire as u64 - 1;
-                let ea = s.wrapping_add(op.imm);
-                match bus.load(ea, (op.sz & 0xF) as usize) {
-                    Ok(v) => r[a] = v,
-                    Err(fault) => return fault_in(pages, op, lead, done, fault),
-                }
-            }
-            AddSl | OrSl => {
-                // r[b] is read after the scaled-index write (b may alias u).
+            Ld8 => ld::<1, B>(op, pages, r, bus)?,
+            Ld16 => ld::<2, B>(op, pages, r, bus)?,
+            Ld32 => ld::<4, B>(op, pages, r, bus)?,
+            Ld64 => ld::<8, B>(op, pages, r, bus)?,
+            St8 => st::<1, B>(op, pages, r, bus)?,
+            St16 => st::<2, B>(op, pages, r, bus)?,
+            St32 => st::<4, B>(op, pages, r, bus)?,
+            St64 => st::<8, B>(op, pages, r, bus)?,
+            LdSt8 => ld_st::<1, B>(op, pages, r, bus)?,
+            LdSt16 => ld_st::<2, B>(op, pages, r, bus)?,
+            LdSt32 => ld_st::<4, B>(op, pages, r, bus)?,
+            LdSt64 => ld_st::<8, B>(op, pages, r, bus)?,
+            LdXor8 => ld_xor::<1, B>(op, pages, r, bus)?,
+            LdXor16 => ld_xor::<2, B>(op, pages, r, bus)?,
+            LdXor32 => ld_xor::<4, B>(op, pages, r, bus)?,
+            LdXor64 => ld_xor::<8, B>(op, pages, r, bus)?,
+            LdAdd32_8 => ld_add32::<1, B>(op, pages, r, bus)?,
+            LdAdd32_16 => ld_add32::<2, B>(op, pages, r, bus)?,
+            LdAdd32_32 => ld_add32::<4, B>(op, pages, r, bus)?,
+            LdAdd32_64 => ld_add32::<8, B>(op, pages, r, bus)?,
+            AddLd8 => add_ld::<1, B>(op, pages, r, bus)?,
+            AddLd16 => add_ld::<2, B>(op, pages, r, bus)?,
+            AddLd32 => add_ld::<4, B>(op, pages, r, bus)?,
+            AddLd64 => add_ld::<8, B>(op, pages, r, bus)?,
+            AddiLd8 => addi_ld::<1, B>(op, pages, r, bus)?,
+            AddiLd16 => addi_ld::<2, B>(op, pages, r, bus)?,
+            AddiLd32 => addi_ld::<4, B>(op, pages, r, bus)?,
+            AddiLd64 => addi_ld::<8, B>(op, pages, r, bus)?,
+            TabLd8 => tab_ld::<1, B>(op, pages, r, bus)?,
+            TabLd16 => tab_ld::<2, B>(op, pages, r, bus)?,
+            TabLd32 => tab_ld::<4, B>(op, pages, r, bus)?,
+            TabLd64 => tab_ld::<8, B>(op, pages, r, bus)?,
+            SlLd8 => sl_ld::<1, B>(op, pages, r, bus)?,
+            SlLd16 => sl_ld::<2, B>(op, pages, r, bus)?,
+            SlLd32 => sl_ld::<4, B>(op, pages, r, bus)?,
+            SlLd64 => sl_ld::<8, B>(op, pages, r, bus)?,
+            XorSt8 => xor_st::<1, B>(op, pages, r, bus)?,
+            XorSt16 => xor_st::<2, B>(op, pages, r, bus)?,
+            XorSt32 => xor_st::<4, B>(op, pages, r, bus)?,
+            XorSt64 => xor_st::<8, B>(op, pages, r, bus)?,
+            AddSl => {
+                // r[b] is read after the scaled-index write (b may alias d).
                 let sh = r[c] << op.imm;
-                r[(op.sz >> 4) as usize] = sh;
-                r[a] = if op.kind == AddSl { r[b].wrapping_add(sh) } else { r[b] | sh };
+                r[reg(op.d)] = sh;
+                r[a] = r[b].wrapping_add(sh);
             }
-            SlLd => {
-                let k = op.aux & 63;
-                let u = ((op.aux >> 8) & 0xF) as usize;
-                let d = ((op.aux >> 16) & 0xF) as usize;
-                let sh = r[c] << k;
-                r[u] = sh;
-                let s = r[b].wrapping_add(sh);
-                r[d] = s;
-                let lead = 2u64;
-                let ea = s.wrapping_add(op.imm);
-                match bus.load(ea, (op.sz & 0xF) as usize) {
-                    Ok(v) => r[a] = v,
-                    Err(fault) => return fault_in(pages, op, lead, done, fault),
-                }
+            OrSl => {
+                let sh = r[c] << op.imm;
+                r[reg(op.d)] = sh;
+                r[a] = r[b] | sh;
             }
             ShrAndi => r[a] = (r[b] >> op.imm) & op.aux,
             ShruAndi => r[a] = (r[b] >> (r[c] & 63)) & op.aux,
-            Add3 => {
-                r[a] = r[b].wrapping_add(r[c]).wrapping_add(r[(op.sz >> 4) as usize]);
-            }
+            Add3 => r[a] = r[b].wrapping_add(r[c]).wrapping_add(r[reg(op.d)]),
             Add32_3 => {
-                let s = (r[b] as u32)
-                    .wrapping_add(r[c] as u32)
-                    .wrapping_add(r[(op.sz >> 4) as usize] as u32);
+                let s = (r[b] as u32).wrapping_add(r[c] as u32).wrapping_add(r[reg(op.d)] as u32);
                 r[a] = s as u64;
             }
             RotlAdd32 => {
                 r[a] = (r[b] as u32).rotate_left(op.imm as u32).wrapping_add(r[c] as u32) as u64;
             }
-            XorSt => {
-                let v = r[b] ^ r[c];
-                r[a] = v;
-                // The store base is read after the xor write (it may alias).
-                let ea = r[(op.sz >> 4) as usize].wrapping_add(op.aux);
-                let size = (op.sz & 0xF) as u64;
-                if let Err(fault) = bus.store(ea, size as usize, v) {
-                    return fault_in(pages, op, 1, done, fault);
-                }
-                if hits(ea, size, pages) {
-                    return BlockExit::Patched { next: op_pc(pages, op, 2), consumed: done + 2 };
-                }
-            }
             Xor3 => {
                 // The intermediate two-way xor is written first so the
                 // third operand sees it when it aliases the destination.
                 r[a] = r[b] ^ r[c];
-                r[a] ^= r[(op.sz >> 4) as usize];
+                r[a] ^= r[reg(op.d)];
             }
             Mov2 => {
                 r[a] = r[b];
-                r[c] = r[(op.sz >> 4) as usize];
+                r[c] = r[reg(op.d)];
             }
-            LdAdd32 => {
-                let ea = r[b].wrapping_add(op.imm);
-                match bus.load(ea, (op.sz & 0xF) as usize) {
-                    Ok(v) => {
-                        r[a] = v;
-                        r[c] = (r[c] as u32).wrapping_add(v as u32) as u64;
-                    }
-                    Err(fault) => return fault_in(pages, op, 0, done, fault),
-                }
-            }
-            Hop => {}
-            HCall => {
-                let ret = op_pc(pages, op, 1);
-                let sp = r[REG_SP as usize].wrapping_sub(8);
-                if let Err(fault) = bus.store(sp, 8, ret) {
-                    return fault_in(pages, op, 0, done, fault);
-                }
-                r[REG_SP as usize] = sp;
-                if hits(sp, 8, pages) {
-                    return BlockExit::Patched { next: op.imm, consumed: done + 1 };
-                }
-                // Control continues in-trace at the callee's lowering.
-            }
+            // Control continues in-trace at the callee's lowering.
+            HCall => push_ret(op, pages, r, bus, op.imm)?,
             RetHop => {
-                let sp = r[REG_SP as usize];
-                match bus.load(sp, 8) {
-                    Ok(v) => {
-                        r[REG_SP as usize] = sp.wrapping_add(8);
-                        if v != op.imm {
-                            // The guest redirected the return: leave the
-                            // trace for the actual target.
-                            return BlockExit::Seq { next: v, consumed: done + 1 };
-                        }
-                        // Expected return: continue at the caller's
-                        // continuation, the next op in the trace.
-                    }
-                    Err(fault) => return fault_in(pages, op, 0, done, fault),
+                let v = pop_ret(op, pages, r, bus)?;
+                if v != op.imm {
+                    // The guest redirected the return: leave the trace for
+                    // the actual target.
+                    return Err(BlockExit::Seq { next: v, consumed: through(op, 0) });
                 }
+                // Expected return: continue at the caller's continuation,
+                // the next op in the trace.
             }
-            TJmp => return BlockExit::Seq { next: op.imm, consumed: done + 1 },
-            TBeq | TBne | TBltu | TBgeu | TBlts | TBges => {
-                // Fused pre-op: 1 = loop-step addi, 2 = bound-constant movi.
-                if op.sz == 1 {
-                    r[c] = r[c].wrapping_add(op.aux);
-                } else if op.sz == 2 {
-                    r[c] = op.aux;
-                }
-                let (x, y) = (r[a], r[b]);
-                let exit = match op.kind {
-                    TBeq => x == y,
-                    TBne => x != y,
-                    TBltu => x < y,
-                    TBgeu => x >= y,
-                    TBlts => (x as i64) < (y as i64),
-                    _ => (x as i64) >= (y as i64),
-                };
-                if exit {
-                    return BlockExit::Seq { next: op.imm, consumed: done + op.retire as u64 };
-                }
-                // Not exiting: the trace continues with the next op.
+            Beq => side::<EQ, PRE_NONE>(op, r)?,
+            BeqAddi => side::<EQ, PRE_ADDI>(op, r)?,
+            BeqMovi => side::<EQ, PRE_MOVI>(op, r)?,
+            Bne => side::<NE, PRE_NONE>(op, r)?,
+            BneAddi => side::<NE, PRE_ADDI>(op, r)?,
+            BneMovi => side::<NE, PRE_MOVI>(op, r)?,
+            Bltu => side::<LTU, PRE_NONE>(op, r)?,
+            BltuAddi => side::<LTU, PRE_ADDI>(op, r)?,
+            BltuMovi => side::<LTU, PRE_MOVI>(op, r)?,
+            Bgeu => side::<GEU, PRE_NONE>(op, r)?,
+            BgeuAddi => side::<GEU, PRE_ADDI>(op, r)?,
+            BgeuMovi => side::<GEU, PRE_MOVI>(op, r)?,
+            Blts => side::<LTS, PRE_NONE>(op, r)?,
+            BltsAddi => side::<LTS, PRE_ADDI>(op, r)?,
+            BltsMovi => side::<LTS, PRE_MOVI>(op, r)?,
+            Bges => side::<GES, PRE_NONE>(op, r)?,
+            BgesAddi => side::<GES, PRE_ADDI>(op, r)?,
+            BgesMovi => side::<GES, PRE_MOVI>(op, r)?,
+            TJmp => return Err(BlockExit::Seq { next: op.imm, consumed: through(op, 0) }),
+            TCall => {
+                push_ret(op, pages, r, bus, op.imm)?;
+                return Err(BlockExit::Seq { next: op.imm, consumed: through(op, 0) });
             }
-            TCall | TCallr => {
-                let ret = op_pc(pages, op, 1);
-                let target = if op.kind == TCall { op.imm } else { r[b] };
-                let sp = r[REG_SP as usize].wrapping_sub(8);
-                if let Err(fault) = bus.store(sp, 8, ret) {
-                    return fault_in(pages, op, 0, done, fault);
-                }
-                r[REG_SP as usize] = sp;
-                if hits(sp, 8, pages) {
-                    return BlockExit::Patched { next: target, consumed: done + 1 };
-                }
-                return BlockExit::Seq { next: target, consumed: done + 1 };
+            TCallr => {
+                // The target is read before the push moves the stack
+                // pointer (b may be sp).
+                let target = r[b];
+                push_ret(op, pages, r, bus, target)?;
+                return Err(BlockExit::Seq { next: target, consumed: through(op, 0) });
             }
             TRet => {
-                let sp = r[REG_SP as usize];
-                match bus.load(sp, 8) {
-                    Ok(v) => {
-                        r[REG_SP as usize] = sp.wrapping_add(8);
-                        return BlockExit::Seq { next: v, consumed: done + 1 };
-                    }
-                    Err(fault) => return fault_in(pages, op, 0, done, fault),
-                }
+                let next = pop_ret(op, pages, r, bus)?;
+                return Err(BlockExit::Seq { next, consumed: through(op, 0) });
             }
-            TJmpr => return BlockExit::Seq { next: r[b], consumed: done + 1 },
-            THalt => return BlockExit::Halt { next: op_pc(pages, op, 1), consumed: done + 1 },
+            TJmpr => return Err(BlockExit::Seq { next: r[b], consumed: through(op, 0) }),
+            THalt => {
+                return Err(BlockExit::Halt { next: op_pc(pages, op, 1), consumed: through(op, 0) })
+            }
             TOcall => {
-                return BlockExit::Ocall {
+                return Err(BlockExit::Ocall {
                     next: op_pc(pages, op, 1),
                     index: op.imm as i32,
-                    consumed: done + 1,
-                }
+                    consumed: through(op, 0),
+                })
             }
             TIntrin => {
                 // The interpreter commits pc past the intrin *before*
                 // dispatching, so an intrinsic fault reports that pc.
                 let next = op_pc(pages, op, 1);
-                match bus.intrinsic(op.imm as i32, r) {
-                    Ok(extra) => {
-                        return BlockExit::Intrin { next, consumed: done + 1, extra };
-                    }
-                    Err(fault) => return BlockExit::Fault { fault, at: next, consumed: done + 1 },
-                }
+                return Err(match bus.intrinsic(op.imm as i32, r) {
+                    Ok(extra) => BlockExit::Intrin { next, consumed: through(op, 0), extra },
+                    Err(fault) => BlockExit::Fault { fault, at: next, consumed: through(op, 0) },
+                });
             }
             TIllegal => {
                 let at = op_pc(pages, op, 0);
-                return BlockExit::Fault {
+                return Err(BlockExit::Fault {
                     fault: VmFault::IllegalInstruction { addr: at },
                     at,
-                    consumed: done + 1,
-                };
+                    consumed: through(op, 0),
+                });
             }
-            TFall => return BlockExit::Seq { next: op.imm, consumed: done },
+            TFall => return Err(BlockExit::Seq { next: op.imm, consumed: op.pre as u64 }),
         }
-        done += op.retire as u64;
     }
     unreachable!("every superblock ends with a terminator")
 }
@@ -1534,7 +1782,7 @@ pub(crate) fn run_superblock<B: Bus + ?Sized>(
             }
             fuel -= cost;
             vm.stats.blocks_entered += 1;
-            let exit = exec_block(&block.ops, &block.pages, &mut vm.regs, bus);
+            let Err(exit) = exec_block(&block.ops, &block.pages, &mut vm.regs, bus);
             let (next, intrin) = match exit {
                 BlockExit::Seq { next, consumed } => {
                     fuel += cost - consumed;
