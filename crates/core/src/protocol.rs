@@ -14,7 +14,6 @@ use elide_crypto::gcm::AesGcm;
 use elide_crypto::rng::RandomSource;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Channel message overhead: 12-byte IV + 16-byte tag.
 pub const CHANNEL_OVERHEAD: usize = 28;
@@ -184,20 +183,7 @@ impl TcpTransport {
         limits: Limits,
         policy: &crate::restore::RetryPolicy,
     ) -> Result<Self, ElideError> {
-        let mut last = None;
-        for delay in policy.delays() {
-            match Self::connect_with(addr, limits) {
-                Ok(t) => return Ok(t),
-                Err(e) => {
-                    last = Some(e);
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-        match Self::connect_with(addr, limits) {
-            Ok(t) => Ok(t),
-            Err(e) => Err(last.unwrap_or(e)),
-        }
+        policy.retry(|| Self::connect_with(addr, limits), |_| true)
     }
 }
 
@@ -246,17 +232,6 @@ impl Transport for OfflineTransport {
     fn request(&mut self, _req: u8, _payload: &[u8]) -> Result<Vec<u8>, ElideError> {
         Err(ElideError::Transport("offline warm start: no server available".into()))
     }
-}
-
-/// A `Duration` helper: exponential backoff series for retry loops.
-pub(crate) fn backoff_series(initial: Duration, max: Duration, attempts: u32) -> Vec<Duration> {
-    let mut out = Vec::with_capacity(attempts as usize);
-    let mut d = initial;
-    for _ in 0..attempts {
-        out.push(d.min(max));
-        d = d.checked_mul(2).unwrap_or(max).min(max);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -310,20 +285,6 @@ mod tests {
         ] {
             assert_eq!(status_to_server_error(server_error_to_status(&e)), e);
         }
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let s = backoff_series(Duration::from_millis(10), Duration::from_millis(50), 4);
-        assert_eq!(
-            s,
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(40),
-                Duration::from_millis(50),
-            ]
-        );
     }
 
     #[test]

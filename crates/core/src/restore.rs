@@ -19,6 +19,7 @@ use sgx_sim::quote::QuotingEnclave;
 use sgx_sim::report::Report;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Shared, persistent store for the sealed blob (stands in for the file the
 /// paper's step ❼ writes to disk; persists across enclave launches).
@@ -259,17 +260,17 @@ pub struct RetryPolicy {
     /// Retries after the first attempt (0 = fail fast).
     pub retries: u32,
     /// Delay before the first retry.
-    pub initial_delay: std::time::Duration,
+    pub initial_delay: Duration,
     /// Upper bound on any single delay.
-    pub max_delay: std::time::Duration,
+    pub max_delay: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             retries: 3,
-            initial_delay: std::time::Duration::from_millis(50),
-            max_delay: std::time::Duration::from_secs(2),
+            initial_delay: Duration::from_millis(50),
+            max_delay: Duration::from_secs(2),
         }
     }
 }
@@ -280,10 +281,37 @@ impl RetryPolicy {
         RetryPolicy { retries: 0, ..Default::default() }
     }
 
-    /// The backoff delays, one per retry.
-    pub fn delays(&self) -> Vec<std::time::Duration> {
-        crate::protocol::backoff_series(self.initial_delay, self.max_delay, self.retries)
+    /// Runs `attempt` up to `retries + 1` times, sleeping the next backoff
+    /// delay before each retry; stops at a success or at an error that
+    /// `retryable` turns down.
+    ///
+    /// # Errors
+    ///
+    /// The final attempt's error.
+    pub fn retry<T, E>(
+        &self,
+        mut attempt: impl FnMut() -> Result<T, E>,
+        retryable: impl Fn(&E) -> bool,
+    ) -> Result<T, E> {
+        for delay in backoff_series(self.initial_delay, self.max_delay, self.retries) {
+            match attempt() {
+                Err(e) if retryable(&e) => std::thread::sleep(delay),
+                done => return done,
+            }
+        }
+        attempt()
     }
+}
+
+/// The delays before each of `retries` retries: doubling from `initial`,
+/// capped at `max`.
+fn backoff_series(
+    initial: Duration,
+    max: Duration,
+    retries: u32,
+) -> impl Iterator<Item = Duration> {
+    let doubled = std::iter::successors(Some(initial), |d| Some(d.saturating_mul(2)));
+    doubled.map(move |d| d.min(max)).take(retries as usize)
 }
 
 /// True when `err` is a failure a healthy server could later satisfy, so a
@@ -345,7 +373,7 @@ pub(crate) fn restore(
 ) -> Result<RestoreStats, ElideError> {
     let input: &[u8] = target.map_or(&[], |t| t.as_slice());
     switch.store(target.is_some(), Ordering::SeqCst);
-    let mut attempt = || {
+    let attempt = || {
         let _ = take(sink); // clear stale errors from a previous attempt
         let failure = match rt.ecall(restore_ecall_index, input, 0) {
             Ok(r) if r.status == crate::elide_asm::restore_status::OK => {
@@ -356,14 +384,7 @@ pub(crate) fn restore(
         };
         Err(take(sink).unwrap_or(failure))
     };
-    let mut result = attempt();
-    for delay in policy.delays() {
-        match &result {
-            Err(e) if is_transient(e) => std::thread::sleep(delay),
-            _ => break,
-        }
-        result = attempt();
-    }
+    let result = policy.retry(attempt, is_transient);
     switch.store(false, Ordering::SeqCst);
     result
 }
@@ -398,6 +419,55 @@ mod tests {
         let platform = Platform::provision(&mut rng, &mut ias);
         let server = Arc::new(package.make_server(ias));
         (package, platform, Arc::new(Mutex::new(InProcessTransport::new(server))))
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let s: Vec<_> =
+            backoff_series(Duration::from_millis(10), Duration::from_millis(50), 4).collect();
+        assert_eq!(s, [10, 20, 40, 50].map(Duration::from_millis));
+    }
+
+    #[test]
+    fn retry_makes_retries_plus_one_attempts_and_returns_the_last_error() {
+        let policy =
+            RetryPolicy { retries: 3, initial_delay: Duration::ZERO, max_delay: Duration::ZERO };
+        let mut attempts = 0;
+        let result: Result<(), u32> = policy.retry(
+            || {
+                attempts += 1;
+                Err(attempts)
+            },
+            |_| true,
+        );
+        assert_eq!((attempts, result), (4, Err(4)));
+
+        let mut attempts = 0;
+        let result = policy.retry(
+            || {
+                attempts += 1;
+                if attempts < 3 {
+                    Err(attempts)
+                } else {
+                    Ok("up")
+                }
+            },
+            |_| true,
+        );
+        assert_eq!((attempts, result), (3, Ok("up")));
+    }
+
+    #[test]
+    fn retry_stops_at_once_on_a_permanent_error() {
+        let mut attempts = 0;
+        let result: Result<(), &str> = RetryPolicy::default().retry(
+            || {
+                attempts += 1;
+                Err("permanent")
+            },
+            |e| *e != "permanent",
+        );
+        assert_eq!((attempts, result), (1, Err("permanent")));
     }
 
     /// Poisons `lock` the way a host thread panicking mid-request would.

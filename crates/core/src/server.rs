@@ -48,8 +48,10 @@ pub struct AuthServer {
     ticket_key: [u8; 16],
     /// Validity window for newly issued tickets.
     ticket_ttl: Duration,
-    /// Ids of redeemed tickets (single-use enforcement).
-    used_tickets: Mutex<RedeemedTickets>,
+    /// Issue number of the next ticket.
+    tickets_issued: AtomicU64,
+    /// Which issued tickets have been redeemed (single-use enforcement).
+    used_tickets: Mutex<TicketLedger>,
     /// Fault-injection plan for secret-store reads (chaos testing only;
     /// `None` in production). Behind an `RwLock` so a test harness can
     /// swap schedules between runs on a shared server.
@@ -61,87 +63,64 @@ pub struct AuthServer {
     delegation_ttl: Duration,
 }
 
-/// Ids of redeemed tickets, kept until their tickets have certainly
-/// expired. A ticket can be dated up to [`MAX_CLOCK_SKEW_MS`] ahead of its
-/// redemption and stays valid for its own TTL, so `window_ms` is the
-/// largest `ttl_ms + MAX_CLOCK_SKEW_MS` redeemed so far. An id lands in
-/// `current`; once a window has passed, `current` becomes `previous`, and
-/// a window later it is dropped. The set thus holds about two windows of
-/// redemptions instead of every redemption since start-up.
+/// Which issued tickets have been redeemed: one bit per issue number,
+/// from `floor` up to the highest number redeemed so far.
+///
+/// Numbers are handed out in order by [`AuthServer::issue_ticket`], so a
+/// rotation can drop whole words off the low end. A rotation runs at the
+/// first burn at least a window (the server's `ticket_ttl +
+/// MAX_CLOCK_SKEW_MS`) after the previous one, moves `floor` up to the
+/// `mark` the previous rotation recorded, and records a new `mark`. Every
+/// number below the old mark was issued no later than the previous
+/// rotation, so at least a full window before any later `now`: its ticket
+/// is past its TTL even if the clock has since stepped back by up to
+/// [`MAX_CLOCK_SKEW_MS`]. Dropping it therefore never refuses a live
+/// ticket. The bits held cover the tickets issued since the rotation
+/// before last: two windows while redemptions keep arriving, one bit each.
 #[derive(Default)]
-struct RedeemedTickets {
-    current: IdSet,
-    previous: IdSet,
+struct TicketLedger {
+    /// Numbers below `floor` have certainly expired and are refused.
+    floor: u64,
+    /// Bit `n % 64` of `words[n / 64 - floor / 64]` is set once number
+    /// `n` has been redeemed.
+    words: Vec<u64>,
+    /// The issue counter at the last rotation, and that rotation's time.
+    mark: u64,
     rotated_ms: u64,
-    window_ms: u64,
 }
 
-impl RedeemedTickets {
-    /// Records `ticket`'s id as redeemed at `now`; false if it already was.
-    fn burn(&mut self, ticket: &TicketPlain, now: u64) -> bool {
-        self.window_ms = self.window_ms.max(ticket.ttl_ms.saturating_add(MAX_CLOCK_SKEW_MS));
-        if now.saturating_sub(self.rotated_ms) >= self.window_ms {
-            self.previous = std::mem::take(&mut self.current);
+impl TicketLedger {
+    /// Records issue number `number` as redeemed at `now`, when `issued`
+    /// numbers had been issued by `now` and a window is `window_ms` long.
+    /// False if it was never issued, has certainly expired, or was
+    /// already redeemed.
+    fn burn(&mut self, number: u64, issued: u64, now: u64, window_ms: u64) -> bool {
+        if now.saturating_sub(self.rotated_ms) >= window_ms {
+            let dropped = (self.mark / 64 - self.floor / 64) as usize;
+            self.words.drain(..dropped.min(self.words.len()));
+            self.floor = self.mark;
+            // A redemption stalled between reading the count and the clock
+            // may carry an older count; the mark never moves back.
+            self.mark = issued.max(self.mark);
             self.rotated_ms = now;
         }
-        !self.previous.contains(&ticket.ticket_id) && self.current.insert(&ticket.ticket_id)
-    }
-}
-
-/// Buckets of an [`IdSet`], picked by the top 10 bits of an id's prefix.
-const ID_BUCKETS: usize = 1 << 10;
-
-/// A set of ticket ids, each kept as a 42-bit prefix: the top 10 bits
-/// pick a bucket and the next 32 are stored in that bucket's sorted
-/// `Vec<u32>`. Ids are 128 random bits, so the buckets fill evenly, an
-/// insert shifts the tail of one small bucket, and an id costs about 6.5
-/// bytes with the buckets' spare room and the allocator's share (a
-/// `BTreeSet<u64>` of the first 8 bytes cost ~17 with its part-full
-/// nodes; a hash set briefly holds its old and new table on every
-/// doubling). A prefix collision (odds n/2^42) can only refuse a
-/// fresh ticket, never admit a replay, and a refused ticket costs its
-/// client a full handshake.
-#[derive(Default)]
-struct IdSet {
-    /// Empty until the first insert, then `ID_BUCKETS` sorted buckets.
-    buckets: Vec<Vec<u32>>,
-}
-
-impl IdSet {
-    /// The bucket and stored value of `id`.
-    fn locate(id: &[u8; 16]) -> (usize, u32) {
-        let prefix = u64::from_le_bytes(id[..8].try_into().expect("8 bytes"));
-        ((prefix >> 54) as usize, (prefix >> 22) as u32)
-    }
-
-    fn contains(&self, id: &[u8; 16]) -> bool {
-        let (index, value) = Self::locate(id);
-        self.buckets.get(index).is_some_and(|bucket| bucket.binary_search(&value).is_ok())
-    }
-
-    /// Adds `id`; false if it was already present.
-    fn insert(&mut self, id: &[u8; 16]) -> bool {
-        if self.buckets.is_empty() {
-            self.buckets.resize_with(ID_BUCKETS, Vec::new);
-        }
-        let (index, value) = Self::locate(id);
-        let bucket = &mut self.buckets[index];
-        let Err(at) = bucket.binary_search(&value) else {
+        if number >= issued || number < self.floor {
             return false;
-        };
-        if bucket.len() == bucket.capacity() {
-            // Grow by an eighth, not by doubling, so at most an eighth of
-            // each bucket is spare.
-            bucket.reserve_exact(bucket.len() / 8 + 4);
         }
-        bucket.insert(at, value);
-        true
+        let index = (number / 64 - self.floor / 64) as usize;
+        if index >= self.words.len() {
+            self.words.resize(index + 1, 0);
+        }
+        let bit = 1u64 << (number % 64);
+        let fresh = self.words[index] & bit == 0;
+        self.words[index] |= bit;
+        fresh
     }
+}
 
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
-    }
+/// The issue number a ticket id carries in its first 8 bytes.
+fn issue_number(ticket_id: &[u8; 16]) -> u64 {
+    u64::from_le_bytes(ticket_id[..8].try_into().expect("8 bytes"))
 }
 
 #[derive(Default)]
@@ -187,7 +166,8 @@ impl AuthServer {
             resumptions: AtomicU64::new(0),
             ticket_key,
             ticket_ttl: Duration::from_secs(3600),
-            used_tickets: Mutex::new(RedeemedTickets::default()),
+            tickets_issued: AtomicU64::new(0),
+            used_tickets: Mutex::new(TicketLedger::default()),
             faults: RwLock::new(None),
             delegation: Mutex::new(DelegationState::default()),
             delegation_ttl: Duration::from_secs(3600),
@@ -202,9 +182,9 @@ impl AuthServer {
         self
     }
 
-    /// Replaces the ticket-sealing key (tests: share a key across two
-    /// servers, or fix it for determinism). Production servers keep the
-    /// random per-instance key so restarts revoke outstanding tickets.
+    /// Replaces the ticket-sealing key (tests and benches fix it for
+    /// determinism). Production servers keep the random per-instance key
+    /// so restarts revoke outstanding tickets.
     pub fn with_ticket_key(mut self, key: [u8; 16]) -> Self {
         self.ticket_key = key;
         self
@@ -291,8 +271,10 @@ impl AuthServer {
     }
 
     /// Issues a sealed resumption ticket for an established session,
-    /// returning `(ticket_id, sealed_blob)`. The id is drawn from the
-    /// session's RNG so ticket issue never contends on the master RNG.
+    /// returning `(ticket_id, sealed_blob)`. The id is the next issue
+    /// number (one atomic add, so issue takes no lock) followed by 64 bits
+    /// from the session's RNG, which keep the resume KDF salt
+    /// unpredictable without contending on the master RNG.
     pub(crate) fn issue_ticket(
         &self,
         mrenclave: [u8; 32],
@@ -300,14 +282,19 @@ impl AuthServer {
         channel_key: [u8; 16],
         rng: &mut dyn RandomSource,
     ) -> ([u8; 16], Vec<u8>) {
+        // The time is read before the number is drawn, so every number
+        // below a ledger mark was issued no later than the mark's time.
+        let issued_ms = now_ms();
         let mut ticket_id = [0u8; 16];
-        rng.fill(&mut ticket_id);
+        ticket_id[..8]
+            .copy_from_slice(&self.tickets_issued.fetch_add(1, Ordering::SeqCst).to_le_bytes());
+        rng.fill(&mut ticket_id[8..]);
         let plain = TicketPlain {
             mrenclave,
             mrsigner,
             channel_key,
             ticket_id,
-            issued_ms: now_ms(),
+            issued_ms,
             ttl_ms: self.ticket_ttl.as_millis() as u64,
         };
         (ticket_id, plain.seal(&self.ticket_key, rng))
@@ -318,14 +305,22 @@ impl AuthServer {
     /// # Errors
     ///
     /// [`ServerError::TicketRejected`] when the blob fails to open (wrong
-    /// or rotated ticket key), is expired, or was already redeemed. The id
-    /// is burned *before* any further checks so a racing double-spend
-    /// cannot win on both connections.
+    /// or rotated ticket key), carries a number this server never issued,
+    /// is expired, or was already redeemed. The id is burned *before* any
+    /// further checks so a racing double-spend cannot win on both
+    /// connections.
     pub(crate) fn redeem_ticket(&self, blob: &[u8]) -> Result<TicketPlain, ServerError> {
         let plain = TicketPlain::open(&self.ticket_key, blob)?;
+        // The count is read before the time: see `issue_ticket`.
+        let issued = self.tickets_issued.load(Ordering::SeqCst);
         let now = now_ms();
-        let fresh =
-            self.used_tickets.lock().unwrap_or_else(PoisonError::into_inner).burn(&plain, now);
+        let window_ms = (self.ticket_ttl.as_millis() as u64).saturating_add(MAX_CLOCK_SKEW_MS);
+        let fresh = self.used_tickets.lock().unwrap_or_else(PoisonError::into_inner).burn(
+            issue_number(&plain.ticket_id),
+            issued,
+            now,
+            window_ms,
+        );
         if !fresh || plain.expired_at(now) {
             return Err(ServerError::TicketRejected);
         }
@@ -430,6 +425,7 @@ mod tests {
     use super::*;
     use crate::meta::SecretMeta;
     use elide_crypto::rng::SeededRandom;
+    use std::collections::HashSet;
 
     fn sample_meta() -> SecretMeta {
         SecretMeta {
@@ -443,49 +439,178 @@ mod tests {
         }
     }
 
-    #[test]
-    fn id_set_holds_every_inserted_id_and_no_other() {
-        let mut rng = SeededRandom::new(0x1D5E7);
-        let mut draw = || {
-            let mut id = [0u8; 16];
-            rng.fill(&mut id);
-            id
-        };
-        let ids: Vec<[u8; 16]> = (0..20_000).map(|_| draw()).collect();
-        let mut set = IdSet::default();
-        assert!(!set.contains(&ids[0]), "an empty set holds nothing");
-        for id in &ids {
-            assert!(set.insert(id));
-        }
-        assert!(ids.iter().all(|id| set.contains(id) && !set.insert(id)));
-        assert_eq!(set.len(), ids.len());
-        assert!((0..20_000).all(|_| !set.contains(&draw())));
+    /// A server that seals tickets under a fixed key and holds one secret
+    /// pinned to MRENCLAVE `[0xA5; 32]`.
+    fn ticket_server(ttl: Duration) -> Arc<AuthServer> {
+        let expected = ExpectedIdentity { mrenclave: Some([0xA5; 32]), mrsigner: None };
+        Arc::new(
+            AuthServer::new(sample_meta(), b"data".to_vec(), expected, AttestationService::new())
+                .with_ticket_key([0x42; 16])
+                .with_ticket_ttl(ttl),
+        )
+    }
+
+    /// Issues a genuine ticket for the pinned identity.
+    fn issue(server: &AuthServer, rng: &mut SeededRandom) -> Vec<u8> {
+        server.issue_ticket([0xA5; 32], [0; 32], [7; 16], rng).1
     }
 
     #[test]
     fn redeemed_ids_are_single_use_and_forgotten_after_two_windows() {
-        let ticket = |id: u8, ttl_ms: u64| TicketPlain {
-            mrenclave: [0; 32],
-            mrsigner: [0; 32],
-            channel_key: [0; 16],
-            ticket_id: [id; 16],
-            issued_ms: 0,
-            ttl_ms,
-        };
-        let (a, b) = (ticket(1, 100), ticket(2, 100));
         let window = 100 + MAX_CLOCK_SKEW_MS;
-        let mut used = RedeemedTickets::default();
-        assert!(used.burn(&a, window));
-        assert!(!used.burn(&a, window + 50), "a replay within the window is refused");
-        assert!(used.burn(&b, 2 * window + 20), "rotation keeps fresh ids fresh");
-        assert!(!used.burn(&a, 2 * window + 50), "one rotation later the id is still held");
-        assert!(!used.burn(&b, 3 * window));
-        assert!(used.burn(&a, 3 * window + 50), "two windows after its burn the id is dropped");
-        assert!(used.current.len() + used.previous.len() <= 2);
-        // A longer-lived ticket widens the window for every later burn.
-        let long = ticket(3, 10 * window);
-        assert!(used.burn(&long, 3 * window + 60));
-        assert!(!used.burn(&long, 3 * window + 60 + 10 * window), "held for its whole TTL");
+        let mut used = TicketLedger::default();
+        // Number 0 is issued at time 0; the first burn rotates.
+        assert!(used.burn(0, 1, window, window));
+        assert!(!used.burn(0, 1, window + 50, window), "a replay within the window is refused");
+        assert!(!used.burn(1, 1, window + 50, window), "a number not yet issued is refused");
+        // Number 1 is issued after the first rotation.
+        assert!(used.burn(1, 2, 2 * window + 20, window), "rotation keeps fresh numbers fresh");
+        assert!(
+            !used.burn(0, 2, 2 * window + 50, window),
+            "one rotation later the number is refused"
+        );
+        assert!(!used.burn(1, 2, 3 * window, window));
+        assert!(
+            !used.burn(1, 2, 3 * window + 50, window),
+            "two windows after its issue it is dropped"
+        );
+        assert_eq!(used.floor, 2);
+        assert!(used.words.len() <= 1);
+        // A longer server TTL holds every number for its whole window.
+        let long = 10 * window;
+        let mut used = TicketLedger::default();
+        assert!(used.burn(0, 2, 0, long));
+        assert!(!used.burn(0, 2, long - 1, long), "held for its whole TTL");
+        assert!(used.burn(1, 2, long - 1, long), "an unredeemed number is still live");
+    }
+
+    /// Replays a seeded run of issues, redemptions, replays and clock
+    /// steps against a model: a set of redeemed numbers plus each
+    /// number's issue time.
+    #[test]
+    fn ledger_never_refuses_a_live_ticket_and_never_admits_a_replay() {
+        const TTL: u64 = 60_000;
+        const WINDOW: u64 = TTL + MAX_CLOCK_SKEW_MS;
+        const MAX_STEP: u64 = 2_000;
+        let mut rng = SeededRandom::new(0x1ED6E7);
+        let mut ledger = TicketLedger::default();
+        let mut issued_at: Vec<u64> = Vec::new();
+        let mut redeemed = HashSet::new();
+        let mut redeemed_in_order = Vec::new();
+        let (mut now, mut rotations, mut floor) = (1_000_000, 0, 0);
+        for _ in 0..30_000 {
+            now += if rng.next_u64().is_multiple_of(8) { rng.next_u64() % MAX_STEP } else { 0 };
+            for _ in 0..rng.next_u64() % 4 {
+                issued_at.push(now);
+            }
+            let issued = issued_at.len() as u64;
+            let number = match rng.next_u64() % 8 {
+                0 => issued + rng.next_u64() % 4,
+                1 | 2 => rng.next_u64() % issued.max(1),
+                3 if !redeemed_in_order.is_empty() => {
+                    redeemed_in_order[(rng.next_u64() % redeemed_in_order.len() as u64) as usize]
+                }
+                _ => issued.saturating_sub(1 + rng.next_u64() % 300),
+            };
+            let accepted = ledger.burn(number, issued, now, WINDOW);
+            if number >= issued || redeemed.contains(&number) {
+                assert!(!accepted, "number {number} was never issued or is a replay");
+            } else if now - issued_at[number as usize] < TTL {
+                assert!(accepted, "live number {number} refused at {now}");
+            }
+            if accepted {
+                redeemed.insert(number);
+                redeemed_in_order.push(number);
+            }
+            if ledger.floor != floor {
+                (rotations, floor) = (rotations + 1, ledger.floor);
+            }
+            // A rotation runs at the first burn a window after the last
+            // one, so it can come one clock step late.
+            let recent = issued_at.len()
+                - issued_at.partition_point(|&at| at + 2 * WINDOW + MAX_STEP <= now);
+            assert!(ledger.words.len() <= recent / 64 + 2, "{} words at {now}", ledger.words.len());
+        }
+        assert!(rotations >= 3, "only {rotations} rotations");
+    }
+
+    #[test]
+    fn resealed_siblings_of_live_tickets_meet_the_store_and_expiry_checks() {
+        use crate::elide_asm::request;
+        use crate::protocol::{InProcessTransport, Transport};
+        let server = ticket_server(Duration::from_secs(600));
+        let mut rng = SeededRandom::new(0x5EA1ED);
+        let sibling = |blob: &[u8], change: &dyn Fn(&mut TicketPlain), rng: &mut SeededRandom| {
+            let mut plain = TicketPlain::open(&[0x42; 16], blob).unwrap();
+            change(&mut plain);
+            plain.seal(&[0x42; 16], rng)
+        };
+        let resume = |blob: &[u8]| {
+            InProcessTransport::new(Arc::clone(&server)).request(request::RESUME as u8, blob)
+        };
+        let rejected = Err(crate::error::ElideError::Server(ServerError::TicketRejected));
+
+        // A live number under a foreign identity passes the ledger (and
+        // burns the number), then fails the store re-check.
+        let genuine = issue(&server, &mut rng);
+        let foreign = sibling(&genuine, &|p| p.mrenclave = [0xEE; 32], &mut rng);
+        assert_eq!(resume(&foreign), rejected);
+        assert_eq!(resume(&genuine), rejected, "the foreign sibling burned the number");
+
+        // A live number dated an hour ahead is burned, then refused as
+        // expired.
+        let genuine = issue(&server, &mut rng);
+        let future = sibling(&genuine, &|p| p.issued_ms += 3_600_000, &mut rng);
+        assert_eq!(server.redeem_ticket(&future), Err(ServerError::TicketRejected));
+        assert_eq!(server.redeem_ticket(&genuine), Err(ServerError::TicketRejected));
+
+        // An unaltered reseal of a live ticket still resumes.
+        let genuine = issue(&server, &mut rng);
+        assert!(resume(&sibling(&genuine, &|_| {}, &mut rng)).is_ok());
+        assert_eq!(server.resumptions(), 1);
+    }
+
+    #[test]
+    fn racing_redemptions_of_one_ticket_admit_exactly_one() {
+        let server = ticket_server(Duration::from_secs(600));
+        let blob = issue(&server, &mut SeededRandom::new(0xD5));
+        let barrier = std::sync::Barrier::new(8);
+        let wins = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        server.redeem_ticket(&blob).is_ok()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).filter(|&won| won).count()
+        });
+        assert_eq!(wins, 1);
+    }
+
+    #[test]
+    fn concurrent_issue_draws_distinct_numbers_that_each_redeem_once() {
+        let server = ticket_server(Duration::from_secs(600));
+        let blobs: Vec<Vec<u8>> = std::thread::scope(|s| {
+            let issuers: Vec<_> = (0..8)
+                .map(|seed| {
+                    let server = &server;
+                    s.spawn(move || {
+                        let mut rng = SeededRandom::new(seed);
+                        (0..1_000).map(|_| issue(server, &mut rng)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            issuers.into_iter().flat_map(|t| t.join().unwrap()).collect()
+        });
+        let numbers: HashSet<u64> = blobs
+            .iter()
+            .map(|b| issue_number(&TicketPlain::open(&[0x42; 16], b).unwrap().ticket_id))
+            .collect();
+        assert_eq!(numbers, (0..8_000).collect());
+        assert!(blobs.iter().all(|b| server.redeem_ticket(b).is_ok()));
+        assert!(blobs.iter().all(|b| server.redeem_ticket(b).is_err()));
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! After a full DH+attestation handshake the server can issue a ticket:
 //! the session's identity (MRENCLAVE/MRSIGNER), its channel key, a unique
-//! ticket id, and an expiry window, sealed under a key only the server
-//! holds. A returning client presents the opaque blob to resume an
-//! encrypted session in one round trip, skipping the quote verification
-//! and ~ms-scale DH exchange.
+//! ticket id (the server's issue number, then 64 random bits), and an
+//! expiry window, sealed under a key only the server holds. A returning
+//! client presents the opaque blob to resume an encrypted session in one
+//! round trip, skipping the quote verification and ~ms-scale DH exchange.
 //!
 //! Security properties (mirroring TLS session tickets):
 //!
 //! * the ticket key lives only in server memory and is generated fresh at
 //!   server construction, so a server restart invalidates every
 //!   outstanding ticket (clients fall back to the full handshake);
-//! * tickets are single-use — the server burns the ticket id on first
-//!   redemption, so a replayed blob is rejected;
+//! * tickets are single-use — the server sets its "redeemed" bit for the
+//!   ticket's issue number on first redemption, so a replayed blob is
+//!   rejected, and so is a number it never issued;
 //! * the resumed channel key is *derived from* (never equal to) the
 //!   original channel key, so sequence numbers restarting at zero cannot
 //!   reuse an IV under the old key;
@@ -55,7 +56,9 @@ pub struct TicketPlain {
     /// Channel key of the session being resumed (input to the resume KDF,
     /// never used directly for the resumed channel).
     pub channel_key: [u8; 16],
-    /// Unique id; burned server-side on first redemption.
+    /// Unique id: the issuing server's issue number (8 bytes LE), burned
+    /// server-side on first redemption, then 64 random bits that keep the
+    /// resume KDF salt unpredictable.
     pub ticket_id: [u8; 16],
     /// Issue time, milliseconds since the Unix epoch.
     pub issued_ms: u64,
